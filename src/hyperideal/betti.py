@@ -10,10 +10,12 @@ lcm lattice of the generators, which keeps the search finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, compress
+from operator import lt
 
 from .homology import GuardError, SimplicialComplex, validate_characteristic
 from .ideals import MonomialIdeal
-from .monomials import Monomial
+from .monomials import Monomial, canonical_sorted, divides_any
 
 MAX_GENERATORS = 20
 
@@ -28,18 +30,43 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
             f"{len(ideal.gens)} generators exceed the desk-scale limit "
             f"{MAX_GENERATORS}"
         )
-    seen = set(ideal.gens)
-    frontier = list(ideal.gens)
+    gens = [g.exponents for g in ideal.gens]
+    seen = set(gens)
+    frontier = gens
     while frontier:
         nxt = []
         for m in frontier:
-            for g in ideal.gens:
-                joined = m.lcm(g)
+            for g in gens:
+                joined = tuple(map(max, m, g))
                 if joined not in seen:
                     seen.add(joined)
                     nxt.append(joined)
         frontier = nxt
-    return sorted(seen, key=Monomial.sort_key)
+    return [Monomial._trusted(e) for e in canonical_sorted(seen)]
+
+
+def _koszul_facets(gens: list[tuple[int, ...]], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Maximal facets of the Koszul complex K^b, as sorted vertex tuples.
+
+    A face F lies in K^b exactly when x^(b - F) is in the ideal, that is
+    when F is inside S_g = {w : g_w < b_w} for some generator g dividing
+    x^b.  So K^b is generated by the maximal S_g; the list is empty (K^b
+    is void) when no generator divides x^b.
+    """
+    labels = range(1, len(b) + 1)
+    sets = {tuple(compress(labels, map(lt, g, b))) for g in gens if divides_any((g,), b)}
+    facets: list[tuple[int, ...]] = []
+    for s in sorted(sets, key=len, reverse=True):
+        inside = set(s).issubset
+        if not any(inside(f) for f in facets):
+            facets.append(s)
+    return facets
+
+
+def _is_cone(facets: list[tuple[int, ...]]) -> bool:
+    """True when every maximal facet contains one common vertex: the
+    complex is then a cone over it, with zero reduced homology."""
+    return bool(facets) and bool(set(facets[0]).intersection(*facets[1:]))
 
 
 def koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -48,27 +75,10 @@ def koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     inside the ideal.  Void when b itself lies outside the ideal."""
     if b.n != ideal.n:
         raise ValueError("ambient dimension mismatch")
-    support = sorted(b.support())
-    if not ideal.contains(b):
-        return SimplicialComplex.void(support)
-    faces: list[frozenset[int]] = [frozenset()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for face in frontier:
-            start = face[-1] if face else 0
-            for v in support:
-                if v <= start:
-                    continue
-                candidate = face + (v,)
-                exps = list(b.exponents)
-                for w in candidate:
-                    exps[w - 1] -= 1
-                if ideal.contains(Monomial(tuple(exps))):
-                    faces.append(frozenset(candidate))
-                    nxt.append(candidate)
-        frontier = nxt
-    return SimplicialComplex(support, faces)
+    support = tuple(sorted(b.support()))
+    facets = _koszul_facets([g.exponents for g in ideal.gens], b.exponents)
+    faces = {c for f in facets for size in range(len(f) + 1) for c in combinations(f, size)}
+    return SimplicialComplex._trusted(support, frozenset(map(frozenset, faces)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,11 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     if ideal.is_zero:
         raise ValueError("the zero ideal has no betti table")
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
+    gens = [g.exponents for g in ideal.gens]
     for b in lcm_lattice(ideal):
+        # A cone has no reduced homology, so it contributes no entry.
+        if _is_cone(_koszul_facets(gens, b.exponents)):
+            continue
         complex_at_b = koszul_complex(ideal, b)
         dims = complex_at_b.reduced_homology_dims(char)
         for offset, dim in enumerate(dims):
@@ -139,15 +153,15 @@ def _signed_subset_counts(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
     flipped, lcm joined) or the singleton.  Equivalent to enumerating all
     2^g subsets but linear in generators times lattice size.
     """
-    counts: dict[Monomial, int] = {}
-    for g in ideal.gens:
+    counts: dict[tuple[int, ...], int] = {}
+    for g in [m.exponents for m in ideal.gens]:
         updated = dict(counts)
         updated[g] = updated.get(g, 0) + 1
         for b, value in counts.items():
-            joined = b.lcm(g)
+            joined = tuple(map(max, b, g))
             updated[joined] = updated.get(joined, 0) - value
         counts = updated
-    return {b.exponents: v for b, v in counts.items() if v != 0}
+    return {b: v for b, v in counts.items() if v != 0}
 
 
 def euler_consistency_check(

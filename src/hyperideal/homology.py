@@ -17,10 +17,43 @@ class GuardError(RuntimeError):
     """Raised when an input exceeds the desk-scale guards."""
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for 2 <= p < MAX_CHARACTERISTIC."""
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def validate_characteristic(char: int) -> None:
     if char == 0:
         return
-    if char < 2 or any(char % k == 0 for k in range(2, int(char**0.5) + 1)):
+    if char >= MAX_CHARACTERISTIC:
+        raise ValueError(
+            f"characteristic must be 0 or a prime below {MAX_CHARACTERISTIC}, "
+            f"got a {len(str(char))}-digit integer"
+        )
+    if char < 2 or not _is_prime(char):
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
@@ -109,6 +142,18 @@ class SimplicialComplex:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "faces", faces)
 
+    @classmethod
+    def _trusted(
+        cls, vertices: tuple[int, ...], faces: frozenset[frozenset[int]]
+    ) -> SimplicialComplex:
+        """A complex the package built downward closed on sorted distinct
+        vertices (a Koszul complex); the closure and ground-set checks are
+        skipped."""
+        complex_ = object.__new__(cls)
+        object.__setattr__(complex_, "vertices", vertices)
+        object.__setattr__(complex_, "faces", faces)
+        return complex_
+
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
@@ -141,16 +186,7 @@ class SimplicialComplex:
     def boundary_matrix(self, k: int) -> list[list[int]]:
         """Matrix of the boundary map from k-faces to (k-1)-faces, with the
         usual alternating signs; the empty face sits in degree -1."""
-        by_dim = self._faces_by_dim()
-        rows_faces = by_dim.get(k - 1, [])
-        cols_faces = by_dim.get(k, [])
-        index = {f: i for i, f in enumerate(rows_faces)}
-        matrix = [[0] * len(cols_faces) for _ in rows_faces]
-        for j, face in enumerate(cols_faces):
-            for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1 :]
-                matrix[index[sub]][j] = (-1) ** pos
-        return matrix
+        return _boundary_matrix(self._faces_by_dim(), k)
 
     def reduced_homology_dims(self, char: int = 0) -> tuple[int, ...]:
         """Dimensions of reduced homology, indexed from degree -1 upward.
@@ -166,15 +202,27 @@ class SimplicialComplex:
                 f"ground set of size {len(self.vertices)} exceeds the "
                 f"desk-scale limit {MAX_GROUND_VERTICES}"
             )
-        top = self.dimension()
         by_dim = self._faces_by_dim()
+        top = max(by_dim)
         counts = {k: len(by_dim.get(k, [])) for k in range(-1, top + 1)}
-        ranks = {k: matrix_rank(self.boundary_matrix(k), char) for k in range(0, top + 1)}
+        ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(0, top + 1)}
         ranks[-1] = 0
         ranks[top + 1] = 0
         return tuple(
             counts[k] - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)
         )
+
+
+def _boundary_matrix(by_dim: dict[int, list[tuple[int, ...]]], k: int) -> list[list[int]]:
+    rows_faces = by_dim.get(k - 1, [])
+    cols_faces = by_dim.get(k, [])
+    index = {f: i for i, f in enumerate(rows_faces)}
+    matrix = [[0] * len(cols_faces) for _ in rows_faces]
+    for j, face in enumerate(cols_faces):
+        for pos in range(len(face)):
+            sub = face[:pos] + face[pos + 1 :]
+            matrix[index[sub]][j] = (-1) ** pos
+    return matrix
 
 
 def simplex_faces(vertices: Iterable[int]) -> list[frozenset[int]]:

@@ -9,33 +9,37 @@ representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
-from .monomials import Monomial, compositions
+from .monomials import Monomial, canonical_sorted, compositions, divides_any
+
+
+def _minimize(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Minimal exponent tuples among ``exps``, in canonical order.
+
+    Monomials of equal degree only divide each other when equal, so after
+    deduplication a candidate needs checking only against kept tuples of
+    strictly smaller degree.  The unit tuple, if present, absorbs
+    everything else.
+    """
+    kept: list[tuple[int, ...]] = []
+    smaller: tuple[tuple[int, ...], ...] = ()  # kept tuples of degree < current
+    current_degree = None
+    for e in canonical_sorted(exps):
+        d = sum(e)
+        if d != current_degree:
+            smaller = tuple(kept)
+            current_degree = d
+        if not divides_any(smaller, e):
+            kept.append(e)
+    return kept
 
 
 def minimal_generators(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Drop every monomial strictly divisible by another in the set.
-
-    Monomials of equal degree only divide each other when equal, so after
-    deduplication a candidate needs checking only against kept generators
-    of strictly smaller degree.  If the unit monomial is present it
-    absorbs everything else.
-    """
-    uniq = sorted(set(gens), key=Monomial.sort_key)
-    kept: list[Monomial] = []
-    smaller_end = 0  # kept[:smaller_end] have degree < current degree
-    current_degree = None
-    for g in uniq:
-        d = g.degree()
-        if d != current_degree:
-            smaller_end = len(kept)
-            current_degree = d
-        if any(kept[i].divides(g) for i in range(smaller_end)):
-            continue
-        kept.append(g)
-    return tuple(kept)
+    """Drop every monomial strictly divisible by another in the set, and
+    return the rest deduplicated in canonical order."""
+    return tuple(map(Monomial._trusted, _minimize(g.exponents for g in gens)))
 
 
 class MonomialIdeal:
@@ -47,7 +51,7 @@ class MonomialIdeal:
     reject them.
     """
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "gens", "_exps")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
         if n < 1:
@@ -56,8 +60,20 @@ class MonomialIdeal:
         for g in gens:
             if g.n != n:
                 raise ValueError(f"generator {g} has ambient {g.n}, expected {n}")
+        self._fill(n, _minimize(g.exponents for g in gens))
+
+    @classmethod
+    def _trusted(cls, n: int, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
+        """The ideal generated by exponent tuples derived from validated
+        values of ambient n; minimized here, not re-checked."""
+        ideal = object.__new__(cls)
+        ideal._fill(n, _minimize(exps))
+        return ideal
+
+    def _fill(self, n: int, minimal: list[tuple[int, ...]]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", minimal_generators(gens))
+        object.__setattr__(self, "gens", tuple(map(Monomial._trusted, minimal)))
+        object.__setattr__(self, "_exps", tuple(minimal))
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
@@ -102,13 +118,15 @@ class MonomialIdeal:
         """Membership: true iff some minimal generator divides u."""
         if u.n != self.n:
             raise ValueError(f"ambient dimension mismatch: {u.n} vs {self.n}")
-        return any(g.divides(u) for g in self.gens)
+        return divides_any(self._exps, u.exponents)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Intersection via pairwise lcms of generators, then minimization."""
         if self.n != other.n:
             raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-        return MonomialIdeal(self.n, (g.lcm(h) for g in self.gens for h in other.gens))
+        return MonomialIdeal._trusted(
+            self.n, (tuple(map(max, g, h)) for g in self._exps for h in other._exps)
+        )
 
     def truncate(self, t: int) -> MonomialIdeal:
         """The ideal generated by the members of degree >= t.
@@ -120,16 +138,15 @@ class MonomialIdeal:
             raise ValueError("truncation of the zero ideal is undefined")
         if t <= 0:
             return self
-        cands: list[Monomial] = []
-        for g in self.gens:
-            gap = t - g.degree()
+        cands: list[tuple[int, ...]] = []
+        for g in self._exps:
+            gap = t - sum(g)
             if gap <= 0:
                 cands.append(g)
             else:
-                exps = g.exponents
                 for w in compositions(gap, self.n):
-                    cands.append(Monomial(tuple(a + b for a, b in zip(exps, w))))
-        return MonomialIdeal(self.n, cands)
+                    cands.append(tuple(map(add, g, w)))
+        return MonomialIdeal._trusted(self.n, cands)
 
     def deg(self) -> int:
         """Highest degree among the minimal generators."""
@@ -208,9 +225,29 @@ def irreducible_from_vector(v: Sequence[int]) -> IrreducibleComponent:
 
 
 def intersect_components(components: Sequence[IrreducibleComponent]) -> MonomialIdeal:
+    """Intersect the components by folding them in one at a time.
+
+    A generator g of the running intersection that already lies in the
+    next component m^v is kept; otherwise it is replaced by g with x_i
+    raised to v_i for each i in supp(v), which are the minimal members of
+    (g) intersected with m^v.  The result is minimized after each step.
+    """
     if not components:
         raise ValueError("cannot intersect an empty list of components")
-    return reduce(MonomialIdeal.intersect, (c.as_ideal() for c in components))
+    n = components[0].n
+    cands: list[tuple[int, ...]] = [(0,) * n]
+    for comp in components:
+        if comp.n != n:
+            raise ValueError(f"ambient dimension mismatch: {n} vs {comp.n}")
+        v = comp.powers
+        supp = [i for i, p in enumerate(v) if p >= 1]
+        gens, cands = _minimize(cands), []
+        for g in gens:
+            if any(g[i] >= v[i] for i in supp):
+                cands.append(g)
+            else:
+                cands.extend(g[:i] + (v[i],) + g[i + 1 :] for i in supp)
+    return MonomialIdeal._trusted(n, cands)
 
 
 def alexander_dual(ideal: MonomialIdeal, c: Sequence[int]) -> MonomialIdeal:

@@ -3,11 +3,21 @@
 Exponents are plain Python integers, so there is no overflow to guard
 against; every derived quantity (degree, bound, Betti number) is an exact
 combinatorial integer.
+
+Kernel contract: the public constructors (``Monomial(...)``, ``of``,
+``unit``, ``variable``) validate their input, and so do the public
+operations that combine two monomials (ambient dimensions must match).
+Values the package derives from already validated values (lcms, products,
+stability shifts, truncation candidates, intersections, lattice joins)
+are built through :meth:`Monomial._trusted` without re-checks, and
+membership is decided on raw exponent tuples by :func:`divides_any`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, gt
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -30,6 +40,14 @@ class Monomial:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"exponents must be nonnegative integers, got {exps!r}")
         object.__setattr__(self, "exponents", exps)
+
+    @classmethod
+    def _trusted(cls, exponents: tuple[int, ...]) -> Monomial:
+        """Wrap an exponent tuple derived from validated monomials, without
+        re-checking it.  Not for outside input."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exponents", exponents)
+        return m
 
     @classmethod
     def of(cls, *exponents: int) -> Monomial:
@@ -64,16 +82,16 @@ class Monomial:
     def divides(self, other: Monomial) -> bool:
         """Componentwise order: true iff self_i <= other_i for every i."""
         self._require_same_ambient(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return divides_any((self.exponents,), other.exponents)
 
     def lcm(self, other: Monomial) -> Monomial:
         """Componentwise maximum."""
         self._require_same_ambient(other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._trusted(tuple(map(max, self.exponents, other.exponents)))
 
     def times(self, other: Monomial) -> Monomial:
         self._require_same_ambient(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._trusted(tuple(map(add, self.exponents, other.exponents)))
 
     def support(self) -> frozenset[int]:
         """1-based indices of the variables that occur."""
@@ -101,7 +119,7 @@ class Monomial:
         exps = list(self.exponents)
         exps[j - 1] += 1
         exps[m - 1] -= 1
-        return Monomial(tuple(exps))
+        return Monomial._trusted(tuple(exps))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Key for the canonical order: degree ascending, then lexicographically
@@ -121,6 +139,28 @@ class Monomial:
 
     def vector_str(self) -> str:
         return "[" + ",".join(str(e) for e in self.exponents) + "]"
+
+
+def divides_any(gens: Iterable[tuple[int, ...]], u: tuple[int, ...]) -> bool:
+    """Membership primitive: true iff some exponent tuple in ``gens`` is
+    componentwise at most ``u``.
+
+    Works on raw tuples of one ambient dimension and checks nothing;
+    callers pass exponents of validated monomials.
+    """
+    for g in gens:
+        if not any(map(gt, g, u)):
+            return True
+    return False
+
+
+def canonical_sorted(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Distinct exponent tuples in the canonical order of
+    :meth:`Monomial.sort_key`: degree ascending, lexicographically
+    descending within a degree."""
+    ordered = sorted(set(exps), reverse=True)
+    ordered.sort(key=sum)
+    return ordered
 
 
 def canonical_compare(u: Monomial, v: Monomial) -> int:

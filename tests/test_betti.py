@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperideal.betti import (
+    _is_cone,
+    _koszul_facets,
     _signed_subset_counts,
     betti_table,
     euler_consistency_check,
@@ -10,23 +12,98 @@ from hyperideal.betti import (
     lcm_lattice,
     regularity,
 )
-from hyperideal.homology import GuardError
+from hyperideal.homology import GuardError, SimplicialComplex
 from hyperideal.ideals import MonomialIdeal
 from hyperideal.monomials import Monomial
 
 MIXED = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)])
 
 
-def small_ideals():
-    return st.integers(min_value=2, max_value=3).flatmap(
+def small_ideals(n_max=3, e_max=2, max_gens=4):
+    return st.integers(min_value=2, max_value=n_max).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n).filter(
+            st.lists(st.integers(min_value=0, max_value=e_max), min_size=n, max_size=n).filter(
                 lambda v: any(v)
             ),
             min_size=1,
-            max_size=4,
+            max_size=max_gens,
         ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
     )
+
+
+def wider_ideals():
+    return small_ideals(n_max=4, e_max=3, max_gens=5)
+
+
+def koszul_by_frontier(ideal, b):
+    """Reference Koszul complex: grow faces one vertex at a time and keep a
+    candidate F when x^(b - F) is in the ideal."""
+    support = sorted(b.support())
+    if not ideal.contains(b):
+        return SimplicialComplex.void(support)
+    faces = [frozenset()]
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for face in frontier:
+            start = face[-1] if face else 0
+            for v in support:
+                if v <= start:
+                    continue
+                candidate = face + (v,)
+                exps = list(b.exponents)
+                for w in candidate:
+                    exps[w - 1] -= 1
+                if ideal.contains(Monomial(tuple(exps))):
+                    faces.append(frozenset(candidate))
+                    nxt.append(candidate)
+        frontier = nxt
+    return SimplicialComplex(support, faces)
+
+
+def betti_entries_at_every_point(ideal, char):
+    """Reference table: reduced homology of the reference Koszul complex at
+    every lattice point, cones included."""
+    entries = {}
+    for b in lcm_lattice(ideal):
+        dims = koszul_by_frontier(ideal, b).reduced_homology_dims(char)
+        for offset, dim in enumerate(dims):
+            if dim:
+                entries[(offset, b.exponents)] = dim
+    return entries
+
+
+@given(wider_ideals(), st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4))
+@settings(max_examples=60)
+def test_koszul_complex_matches_frontier_builder(ideal, extra):
+    points = lcm_lattice(ideal) + [Monomial(tuple(extra[: ideal.n])), Monomial.unit(ideal.n)]
+    for b in points:
+        built = koszul_complex(ideal, b)
+        reference = koszul_by_frontier(ideal, b)
+        assert built.vertices == reference.vertices
+        assert built.faces == reference.faces
+        if not ideal.contains(b):
+            assert built.is_void
+
+
+@given(wider_ideals())
+@settings(max_examples=60)
+def test_koszul_facets_are_maximal_and_detect_cones(ideal):
+    gens = [g.exponents for g in ideal.gens]
+    for b in lcm_lattice(ideal):
+        facets = _koszul_facets(gens, b.exponents)
+        assert all(not set(f) <= set(h) for f in facets for h in facets if f is not h)
+        faces = koszul_by_frontier(ideal, b).faces
+        # v is an apex exactly when F | {v} is a face for every face F.
+        apex = any(all(f | {v} in faces for f in faces) for v in b.support())
+        assert _is_cone(facets) == apex
+
+
+@given(wider_ideals())
+@settings(max_examples=40)
+def test_cone_skipping_matches_every_point(ideal):
+    for char in (0, 2):
+        assert betti_table(ideal, char).entries == betti_entries_at_every_point(ideal, char)
 
 
 def test_lcm_lattice_of_mixed_ideal():

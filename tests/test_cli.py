@@ -92,6 +92,22 @@ def test_check_bad_char(in_repo_root, capsys):
     assert "prime" in err
 
 
+def test_char_beyond_primality_limit_refused(in_repo_root, capsys):
+    code, out, err = run(capsys, ["betti", MIXED, "--char", str(10**400)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "3317044064679887385961981" in err
+
+
+def test_large_prime_char_accepted(in_repo_root, capsys):
+    code, out, _ = run(capsys, ["betti", MIXED, "--char", "1000000000000000003"])
+    assert code == 0
+    assert out.endswith("reg=3 (char 1000000000000000003)\n")
+    _, char_zero, _ = run(capsys, ["betti", MIXED])
+    assert out.splitlines()[:-1] == char_zero.splitlines()[:-1]
+
+
 def test_betti_golden(in_repo_root, capsys):
     code, out, _ = run(capsys, ["betti", MIXED])
     assert code == 0

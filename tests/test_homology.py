@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperideal.homology import (
+    MAX_CHARACTERISTIC,
     GuardError,
     SimplicialComplex,
     matrix_rank,
@@ -57,11 +58,30 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 
 
 def test_characteristic_validation():
-    for ok in (0, 2, 3, 5, 13):
+    for ok in (0, 2, 3, 5, 13, 2**61 - 1, 1000000000000000003):
         validate_characteristic(ok)
-    for bad in (1, 4, 6, 9, -2):
+    # 3215031751 and 3825123056546413051 are strong pseudoprimes to the
+    # bases 2..7 and 2..23; MAX_CHARACTERISTIC is one to all 13 bases.
+    for bad in (1, 4, 6, 9, -2, 3215031751, 3825123056546413051, 10**400):
         with pytest.raises(ValueError):
             validate_characteristic(bad)
+    with pytest.raises(ValueError, match=str(MAX_CHARACTERISTIC)):
+        validate_characteristic(MAX_CHARACTERISTIC)
+
+
+def test_characteristic_validation_matches_sieve():
+    limit = 5000
+    composite = bytearray(limit)
+    for p in range(2, limit):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, limit, p))
+    for k in range(2, limit):
+        try:
+            validate_characteristic(k)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (not composite[k]), k
 
 
 @given(matrices)
@@ -92,6 +112,17 @@ def test_complex_validation():
         SimplicialComplex([1, 2], [frozenset({1, 2})])
     with pytest.raises(ValueError, match="ground"):
         SimplicialComplex([1], [frozenset(), frozenset({2})])
+
+
+def test_trusted_complex_equals_validated():
+    faces = frozenset(frozenset(f) for f in [(), (1,), (2,), (3,), (1, 2), (2, 3)])
+    trusted = SimplicialComplex._trusted((1, 2, 3), faces)
+    validated = SimplicialComplex([3, 1, 2], faces)
+    assert trusted.vertices == validated.vertices
+    assert trusted.faces == validated.faces
+    assert trusted.reduced_homology_dims() == validated.reduced_homology_dims() == (0, 0, 0)
+    for k in range(0, 2):
+        assert trusted.boundary_matrix(k) == validated.boundary_matrix(k)
 
 
 def test_void_versus_irrelevant():

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,3 +212,38 @@ def test_ideal_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert str(a) == "x1, x2"
+
+
+def components_lists(n_max=5):
+    return st.integers(min_value=1, max_value=n_max).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+            .filter(any)
+            .map(lambda v: IrreducibleComponent(n, tuple(v))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+
+
+@given(components_lists())
+@settings(max_examples=80)
+def test_intersect_components_matches_pairwise_lcm(components):
+    reference = reduce(MonomialIdeal.intersect, (c.as_ideal() for c in components))
+    assert intersect_components(components) == reference
+
+
+def test_intersect_components_rejects_mixed_ambients():
+    with pytest.raises(ValueError, match="ambient"):
+        intersect_components([IrreducibleComponent(2, (1, 1)), IrreducibleComponent(3, (1, 0, 2))])
+
+
+@given(small_ideals())
+@settings(max_examples=50)
+def test_trusted_ideal_equals_validated(ideal):
+    vectors = [g.exponents for g in ideal.gens] * 2
+    trusted = MonomialIdeal._trusted(ideal.n, vectors)
+    validated = MonomialIdeal.from_exponents(ideal.n, vectors)
+    assert trusted == validated == ideal
+    assert hash(trusted) == hash(validated)
+    assert trusted.gens == validated.gens

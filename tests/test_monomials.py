@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperideal.monomials import Monomial, canonical_compare, compositions
+from hyperideal.monomials import (
+    Monomial,
+    canonical_compare,
+    canonical_sorted,
+    compositions,
+    divides_any,
+)
 
 exponent_vectors = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5)
 
@@ -127,3 +133,36 @@ def test_compositions_complete(total, parts):
     rows = list(compositions(total, parts))
     assert len(rows) == math.comb(total + parts - 1, parts - 1)
     assert all(len(r) == parts and sum(r) == total for r in rows)
+
+
+@given(pairs_same_ambient())
+def test_trusted_values_equal_validated(pair):
+    u, v = pair
+    for derived, exps in (
+        (u.lcm(v), tuple(max(a, b) for a, b in zip(u.exponents, v.exponents))),
+        (u.times(v), tuple(a + b for a, b in zip(u.exponents, v.exponents))),
+        (Monomial._trusted(u.exponents), u.exponents),
+    ):
+        validated = Monomial(exps)
+        assert derived == validated
+        assert hash(derived) == hash(validated)
+        assert repr(derived) == repr(validated)
+    if not u.is_unit() and u.max_index() > 1:
+        shifted = u.stability_shift(1)
+        assert shifted == Monomial(shifted.exponents)
+        assert hash(shifted) == hash(Monomial(shifted.exponents))
+
+
+def test_divides_any():
+    gens = [(2, 0, 0), (0, 1, 1)]
+    assert divides_any(gens, (2, 1, 0))
+    assert divides_any(gens, (0, 3, 1))
+    assert not divides_any(gens, (1, 1, 0))
+    assert not divides_any([], (5, 5, 5))
+
+
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=3), max_size=12))
+def test_canonical_sorted_matches_sort_key(vectors):
+    exps = [tuple(v) for v in vectors]
+    expected = sorted(set(exps), key=lambda e: Monomial(e).sort_key())
+    assert canonical_sorted(exps) == expected
