@@ -12,6 +12,7 @@ from .hypergraphs import (
     covered_restriction,
     inclusion_ideal,
     random_instance,
+    restricted_dual,
     special_dual,
 )
 from .ideals import (
@@ -26,15 +27,12 @@ from .ideals import (
     minimal_generators,
     vector_complement,
 )
-from .monomials import Monomial, canonical_compare, compositions
+from .monomials import Monomial, compositions
 from .stability import (
     StabilityReport,
     StabilityWitness,
-    dual_truncation_stable,
-    intersection_truncation_stable,
     is_stable,
     is_stable_exhaustive,
-    minimal_stable_truncation_degree,
     pure_power_truncation_stable,
     q_bound,
     t_bound,
@@ -57,17 +55,14 @@ __all__ = [
     "associated_primes",
     "betti_table",
     "build_hypergraph",
-    "canonical_compare",
     "canonical_vertex_order",
     "compositions",
     "containment_vector",
     "covered_restriction",
     "dual_components",
-    "dual_truncation_stable",
     "euler_consistency_check",
     "inclusion_ideal",
     "intersect_components",
-    "intersection_truncation_stable",
     "irredundant_filter",
     "is_stable",
     "is_stable_exhaustive",
@@ -75,11 +70,11 @@ __all__ = [
     "lcm_lattice",
     "matrix_rank",
     "minimal_generators",
-    "minimal_stable_truncation_degree",
     "pure_power_truncation_stable",
     "q_bound",
     "random_instance",
     "regularity",
+    "restricted_dual",
     "run_hypergraph_checks",
     "run_ideal_checks",
     "special_dual",

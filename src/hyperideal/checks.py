@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import MAX_GENERATORS, BettiTable, betti_table, euler_consistency_check
+from .betti import MAX_GENERATORS, betti_table, euler_consistency_check
 from .hypergraphs import (
     IncreasingHypergraph,
-    canonical_vertex_order,
     containment_vector,
-    covered_restriction,
     inclusion_ideal,
+    restricted_dual,
     special_dual,
 )
 from .ideals import (
@@ -138,13 +137,27 @@ def _verdict(name: str, ok: bool, good: str, bad: str) -> ClaimResult:
     return ClaimResult(name, PASS if ok else FAIL, good if ok else bad)
 
 
-def _oracle_guard_message(ideal: MonomialIdeal, skip_reg: bool) -> str | None:
+def _regularity_oracle(
+    ideal: MonomialIdeal, char: int, skip_reg: bool
+) -> tuple[int | None, str, ClaimResult]:
+    """Run the Betti oracle on ``ideal`` unless the flag or the guard says
+    not to.  Returns the regularity (None when skipped), the reason it was
+    skipped, and the euler_consistency claim."""
     if skip_reg:
-        return "regularity oracle disabled by flag"
-    count = len(ideal.gens)
-    if count > MAX_GENERATORS:
-        return f"{count} generators exceed the oracle guard {MAX_GENERATORS}"
-    return None
+        reason = "regularity oracle disabled by flag"
+    elif len(ideal.gens) > MAX_GENERATORS:
+        reason = f"{len(ideal.gens)} generators exceed the oracle guard {MAX_GENERATORS}"
+    else:
+        table = betti_table(ideal, char)
+        ok, mismatches = euler_consistency_check(ideal, table)
+        euler = _verdict(
+            "euler_consistency",
+            ok,
+            "alternating sums match at every lattice point",
+            f"mismatch at {len(mismatches)} multidegrees, first {list(mismatches[0]) if mismatches else ''}",
+        )
+        return table.regularity(), "", euler
+    return None, reason, ClaimResult("euler_consistency", SKIPPED, reason)
 
 
 def run_hypergraph_checks(
@@ -156,17 +169,13 @@ def run_hypergraph_checks(
     """Evaluate every claim the pipeline makes about one hypergraph.
 
     Quantities that depend on the variable order (stability, q, the
-    regularity oracle's input) are computed after canonical relabeling
-    with edge-free vertices dropped; the display values keep the input
-    labeling.
+    regularity oracle's input) are computed on :func:`restricted_dual`;
+    the display values keep the input labeling.
     """
     a = containment_vector(h)
     ideal = inclusion_ideal(h)
     dual, comps = special_dual(h)
-
-    canonical, _ = canonical_vertex_order(h)
-    restricted = covered_restriction(canonical)
-    dual_r, comps_r = special_dual(restricted)
+    restricted, dual_r, comps_r = restricted_dual(h)
 
     t = t_bound(a)
     q = q_bound(dual_r)
@@ -260,13 +269,7 @@ def run_hypergraph_checks(
         _verdict("t_le_q", t <= q, f"t={t} <= q={q}", f"t={t} > q={q}")
     )
 
-    reg: int | None = None
-    table: BettiTable | None = None
-    guard_message = _oracle_guard_message(dual_r, skip_reg)
-    if guard_message is None:
-        table = betti_table(dual_r, char)
-        reg = table.regularity()
-
+    reg, guard_message, euler = _regularity_oracle(dual_r, char, skip_reg)
     if reg is None:
         claims.append(ClaimResult("regularity_le_t", SKIPPED, guard_message))
         claims.append(ClaimResult("regularity_lt_q", SKIPPED, guard_message))
@@ -294,18 +297,7 @@ def run_hypergraph_checks(
                 )
             )
 
-    if table is None:
-        claims.append(ClaimResult("euler_consistency", SKIPPED, guard_message))
-    else:
-        ok, mismatches = euler_consistency_check(dual_r, table)
-        claims.append(
-            _verdict(
-                "euler_consistency",
-                ok,
-                "alternating sums match at every lattice point",
-                f"mismatch at {len(mismatches)} multidegrees, first {list(mismatches[0]) if mismatches else ''}",
-            )
-        )
+    claims.append(euler)
 
     values = {
         "n": h.n,
@@ -351,24 +343,7 @@ def run_ideal_checks(
         "double dual with the exponent cap returns the ideal",
         "double dual differs from the ideal",
     )
-
-    reg: int | None = None
-    table: BettiTable | None = None
-    guard_message = _oracle_guard_message(ideal, skip_reg)
-    if guard_message is None:
-        table = betti_table(ideal, char)
-        reg = table.regularity()
-
-    if table is None:
-        euler = ClaimResult("euler_consistency", SKIPPED, guard_message)
-    else:
-        ok, mismatches = euler_consistency_check(ideal, table)
-        euler = _verdict(
-            "euler_consistency",
-            ok,
-            "alternating sums match at every lattice point",
-            f"mismatch at {len(mismatches)} multidegrees",
-        )
+    reg, _, euler = _regularity_oracle(ideal, char, skip_reg)
 
     special = {"dual_involution": involution, "euler_consistency": euler}
     claims = [

@@ -26,11 +26,10 @@ from .formats import InputError, dump_input, load_path
 from .homology import GuardError, validate_characteristic
 from .hypergraphs import (
     IncreasingHypergraph,
-    canonical_vertex_order,
     containment_vector,
-    covered_restriction,
     inclusion_ideal,
     random_instance,
+    restricted_dual,
     special_dual,
 )
 from .stability import q_bound, t_bound
@@ -49,13 +48,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _restricted_dual(h: IncreasingHypergraph):
-    canonical, _ = canonical_vertex_order(h)
-    restricted = covered_restriction(canonical)
-    dual, _ = special_dual(restricted)
-    return dual
 
 
 def _parse_range(spec: str, what: str) -> range:
@@ -90,7 +82,7 @@ def cmd_dual(args) -> int:
     a = containment_vector(h)
     ideal = inclusion_ideal(h)
     dual, comps = special_dual(h)
-    dual_r = _restricted_dual(h)
+    _, dual_r, _ = restricted_dual(h)
     lines = [
         f"n={h.n} d={h.d} s={h.s}",
         "a=[" + ",".join(str(e) for e in a) + "]",
@@ -127,7 +119,7 @@ def _input_ideal(path: str):
     special dual in canonical restricted form."""
     obj = load_path(path)
     if isinstance(obj, IncreasingHypergraph):
-        return _restricted_dual(obj)
+        return restricted_dual(obj)[1]
     return obj
 
 

@@ -116,7 +116,7 @@ class MonomialIdeal:
 
     def contains(self, u: Monomial) -> bool:
         """Membership: true iff some minimal generator divides u."""
-        if u.n != self.n:
+        if len(u.exponents) != self.n:
             raise ValueError(f"ambient dimension mismatch: {u.n} vs {self.n}")
         return divides_any(self._exps, u.exponents)
 
@@ -195,7 +195,7 @@ class IrreducibleComponent:
         return frozenset(i + 1 for i, p in enumerate(self.powers) if p >= 1)
 
     def contains_monomial(self, u: Monomial) -> bool:
-        if u.n != self.n:
+        if len(u.exponents) != self.n:
             raise ValueError(f"ambient dimension mismatch: {u.n} vs {self.n}")
         return any(p >= 1 and e >= p for e, p in zip(u.exponents, self.powers))
 
@@ -217,11 +217,6 @@ def vector_complement(c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
                 f"complement undefined: entry {i + 1} has {di} > {ci}"
             )
     return tuple(ci + 1 - di if di >= 1 else 0 for ci, di in zip(c, d))
-
-
-def irreducible_from_vector(v: Sequence[int]) -> IrreducibleComponent:
-    """The component generated by x_i^{v_i} over the positive entries of v."""
-    return IrreducibleComponent(len(tuple(v)), tuple(v))
 
 
 def intersect_components(components: Sequence[IrreducibleComponent]) -> MonomialIdeal:
@@ -274,7 +269,8 @@ def dual_components(ideal: MonomialIdeal, c: Sequence[int]) -> tuple[Irreducible
         if not g.divides(bound):
             raise ValueError(f"generator {g} does not divide x^c with c={list(c)}")
     return tuple(
-        irreducible_from_vector(vector_complement(c, g.exponents)) for g in ideal.gens
+        IrreducibleComponent(ideal.n, vector_complement(c, g.exponents))
+        for g in ideal.gens
     )
 
 

@@ -102,8 +102,9 @@ class Monomial:
 
         Undefined (raises) on the unit monomial.
         """
-        for i in range(self.n - 1, -1, -1):
-            if self.exponents[i] >= 1:
+        exps = self.exponents
+        for i in range(len(exps) - 1, -1, -1):
+            if exps[i] >= 1:
                 return i + 1
         raise ValueError("max index of the unit monomial is undefined")
 
@@ -161,21 +162,6 @@ def canonical_sorted(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     ordered = sorted(set(exps), reverse=True)
     ordered.sort(key=sum)
     return ordered
-
-
-def canonical_compare(u: Monomial, v: Monomial) -> int:
-    """Total order on same-ambient monomials: -1, 0 or 1.
-
-    Degree ascending with lexicographic-descending tie break; two
-    monomials compare equal exactly when their exponent vectors match.
-    """
-    u._require_same_ambient(v)
-    ku, kv = u.sort_key(), v.sort_key()
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
 
 
 def compositions(total: int, parts: int):

@@ -12,13 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .hypergraphs import (
-    IncreasingHypergraph,
-    canonical_vertex_order,
-    containment_vector,
-    covered_restriction,
-    special_dual,
-)
 from .ideals import MonomialIdeal
 from .monomials import Monomial, compositions
 
@@ -49,28 +42,44 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def is_stable(ideal: MonomialIdeal) -> StabilityReport:
-    """Generator-level stability check with a failure witness.
+def _witness(
+    candidates: MonomialIdeal, members: MonomialIdeal
+) -> Optional[StabilityWitness]:
+    """The failing shift of a generator of ``candidates``, tested for
+    membership in ``members``, or None when every shift stays inside.
 
     Among all failing (generator, shift index) pairs the witness is the
     one with the largest index gap m(u) - j (ties: smaller j, then
     generator order), i.e. the shift reaching furthest left of the
-    generator's top variable.
+    generator's top variable.  For one generator the first failing j has
+    the largest gap, so its scan stops there.  The shifts x_j * u / x_m
+    are built in place from one copy of u with x_m removed.
     """
+    best: Optional[StabilityWitness] = None
+    best_key = None
+    for pos, u in enumerate(candidates.gens):
+        m = u.max_index()
+        exps = list(u.exponents)
+        exps[m - 1] -= 1
+        for j in range(1, m):
+            exps[j - 1] += 1
+            shifted = Monomial._trusted(tuple(exps))
+            exps[j - 1] -= 1
+            if not members.contains(shifted):
+                key = (-(m - j), j, pos)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = StabilityWitness(u, j, shifted)
+                break
+    return best
+
+
+def is_stable(ideal: MonomialIdeal) -> StabilityReport:
+    """Generator-level stability check with the witness of :func:`_witness`."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("stability undefined for the zero and unit ideals")
-    best: Optional[tuple[int, int, int]] = None  # (-gap, j, gen position)
-    best_witness: Optional[StabilityWitness] = None
-    for pos, g in enumerate(ideal.gens):
-        m = g.max_index()
-        for j in range(1, m):
-            shifted = g.stability_shift(j)
-            if not ideal.contains(shifted):
-                key = (-(m - j), j, pos)
-                if best is None or key < best:
-                    best = key
-                    best_witness = StabilityWitness(g, j, shifted)
-    return StabilityReport(ideal, best_witness is None, best_witness)
+    witness = _witness(ideal, ideal)
+    return StabilityReport(ideal, witness is None, witness)
 
 
 def is_stable_exhaustive(ideal: MonomialIdeal, degree_bound: int) -> bool:
@@ -137,21 +146,10 @@ def pure_power_truncation_stable(exponents: Sequence[int]) -> bool:
     """
     a = _check_pure_power_hypothesis(exponents)
     n = len(a)
-    t = sum(a) - a[0]
     ideal = MonomialIdeal(
         n, (Monomial.variable(i + 1, n, a[i]) for i in range(n))
     )
-    truncated = ideal.truncate(t)
-    for g in truncated.gens:
-        m = g.max_index()
-        exps = g.exponents
-        for j in range(1, m):
-            se = list(exps)
-            se[j - 1] += 1
-            se[m - 1] -= 1
-            if not any(se[i] >= a[i] for i in range(n)):
-                return False
-    return True
+    return _witness(ideal.truncate(sum(a) - a[0]), ideal) is None
 
 
 def truncation_stability(ideal: MonomialIdeal, t: int) -> StabilityReport:
@@ -166,69 +164,5 @@ def truncation_stability(ideal: MonomialIdeal, t: int) -> StabilityReport:
     truncated = ideal.truncate(t)
     if truncated.is_zero or truncated.is_unit:
         return StabilityReport(truncated, True, None)
-    best: Optional[StabilityWitness] = None
-    best_key = None
-    for pos, u in enumerate(truncated.gens):
-        m = u.max_index()
-        for j in range(1, m):
-            shifted = u.stability_shift(j)
-            if not ideal.contains(shifted):
-                key = (-(m - j), j, pos)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = StabilityWitness(u, j, shifted)
-    return StabilityReport(truncated, best is None, best)
-
-
-def intersection_truncation_stable(
-    first: MonomialIdeal, second: MonomialIdeal, t_first: int, t_second: int
-) -> bool:
-    """Check that the intersection, truncated at max of the two degrees,
-    is stable.  Requires both inputs' own truncations to be stable."""
-    if not is_stable(first.truncate(t_first)).is_stable:
-        raise ValueError(f"first ideal's truncation at {t_first} is not stable")
-    if not is_stable(second.truncate(t_second)).is_stable:
-        raise ValueError(f"second ideal's truncation at {t_second} is not stable")
-    cut = max(t_first, t_second)
-    return is_stable(first.intersect(second).truncate(cut)).is_stable
-
-
-@dataclass(frozen=True)
-class DualTruncationCheck:
-    stable: bool
-    t: int
-    report: StabilityReport
-    restricted: bool
-
-
-def dual_truncation_stable(h: IncreasingHypergraph) -> DualTruncationCheck:
-    """Truncate the dual at t = sum - max of the containment vector and
-    test stability.
-
-    Stability depends on the variable order, so the hypergraph is brought
-    to canonical vertex order first and edge-free vertices are dropped;
-    ``restricted`` records whether any were.
-    """
-    canonical, _ = canonical_vertex_order(h)
-    restricted = covered_restriction(canonical)
-    dual, _ = special_dual(restricted)
-    t = t_bound(containment_vector(restricted))
-    report = truncation_stability(dual, t)
-    return DualTruncationCheck(
-        stable=report.is_stable,
-        t=t,
-        report=report,
-        restricted=restricted.n < h.n,
-    )
-
-
-def minimal_stable_truncation_degree(ideal: MonomialIdeal, start: int) -> Optional[int]:
-    """Smallest degree at or below ``start`` whose truncation is stable,
-    found by downward search.  Diagnostic only; returns None when the
-    truncation at ``start`` itself is not stable."""
-    if not is_stable(ideal.truncate(start)).is_stable:
-        return None
-    t = start
-    while t > 0 and is_stable(ideal.truncate(t - 1)).is_stable:
-        t -= 1
-    return t
+    witness = _witness(truncated, ideal)
+    return StabilityReport(truncated, witness is None, witness)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from hyperideal.betti import betti_table
 from hyperideal.cli import main
+from hyperideal.formats import load_path
+from hyperideal.hypergraphs import canonical_vertex_order, covered_restriction, special_dual
 
 H0 = "fixtures/chain_n4_s3.json"
 H1 = "fixtures/chain_n3_s2.json"
@@ -121,6 +124,21 @@ def test_betti_on_hypergraph_uses_dual(in_repo_root, capsys):
     code_i, out_i, _ = run(capsys, ["betti", MIXED])
     assert code_h == code_i == 0
     assert out_h == out_i
+
+
+def test_betti_and_reg_on_hypergraph_use_restricted_dual(tmp_path, capsys):
+    padded = tmp_path / "padded.json"
+    padded.write_text('{"n": 5, "d": 1, "edges": [[2, 4], [2, 3, 4]]}')
+    h = load_path(str(padded))
+    canonical, _ = canonical_vertex_order(h)
+    table = betti_table(special_dual(covered_restriction(canonical))[0])
+    assert table.render() != betti_table(special_dual(h)[0]).render()
+    code, out, _ = run(capsys, ["betti", str(padded)])
+    assert code == 0
+    assert out == table.render() + "\n"
+    code, out, _ = run(capsys, ["reg", str(padded)])
+    assert code == 0
+    assert out == f"reg={table.regularity()} (char 0)\n"
 
 
 def test_reg_command(in_repo_root, capsys):

@@ -10,6 +10,7 @@ from hyperideal.hypergraphs import (
     inclusion_ideal,
     is_canonical,
     random_instance,
+    restricted_dual,
     special_dual,
 )
 from hyperideal.ideals import MonomialIdeal, alexander_dual
@@ -154,3 +155,24 @@ def test_random_instances_satisfy_pipeline_basics(params):
     bound = Monomial(a)
     assert len(ideal.gens) == s
     assert all(g.divides(bound) for g in ideal.gens)
+
+
+def test_restricted_dual_matches_stepwise_analysis():
+    restricted_seen = 0
+    for n, d, s in [(4, 1, 2), (6, 2, 2), (7, 1, 3), (7, 2, 3), (5, 1, 4)]:
+        for seed in range(5):
+            h = random_instance(n, d, s, seed=seed)
+            canonical, _ = canonical_vertex_order(h)
+            restricted = covered_restriction(canonical)
+            dual, comps = special_dual(restricted)
+            assert restricted_dual(h) == (restricted, dual, comps)
+            restricted_seen += restricted.n < h.n
+    assert restricted_seen == 20
+
+
+def test_restricted_dual_drops_edge_free_vertices():
+    h = build_hypergraph(5, 1, [frozenset({2, 4}), frozenset({2, 3, 4})])
+    restricted, dual, comps = restricted_dual(h)
+    assert restricted.n == dual.n == 3
+    assert restricted.edges == (frozenset({1, 2}), frozenset({1, 2, 3}))
+    assert [c.n for c in comps] == [3, 3]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from hyperideal.monomials import (
     Monomial,
-    canonical_compare,
     canonical_sorted,
     compositions,
     divides_any,
@@ -103,14 +102,6 @@ def test_sort_key_orders_by_degree_then_lex():
     b = Monomial.of(3, 3, 0, 0)
     c = Monomial.of(2, 2, 2, 0)
     assert sorted([c, b, a], key=Monomial.sort_key) == [a, b, c]
-
-
-@given(pairs_same_ambient())
-def test_canonical_compare_consistent(pair):
-    u, v = pair
-    assert canonical_compare(u, v) == -canonical_compare(v, u)
-    if canonical_compare(u, v) == 0:
-        assert u == v
 
 
 def test_str_forms():

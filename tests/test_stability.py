@@ -1,16 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperideal.hypergraphs import build_hypergraph
 from hyperideal.ideals import MonomialIdeal
 from hyperideal.monomials import Monomial
 from hyperideal.stability import (
-    dual_truncation_stable,
-    intersection_truncation_stable,
+    StabilityWitness,
     is_stable,
     is_stable_exhaustive,
-    minimal_stable_truncation_degree,
     pure_power_truncation_stable,
     q_bound,
     t_bound,
@@ -18,6 +17,44 @@ from hyperideal.stability import (
 )
 
 COUNTEREXAMPLE = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
+
+
+def reference_witness(candidates, members):
+    """Every failing (generator, shift index) pair of ``candidates``, with
+    membership in ``members`` decided by comparing raw exponents, and the
+    pair of largest gap m(u) - j kept (ties: smaller j, then generator
+    order)."""
+    failing = []
+    for pos, u in enumerate(candidates.gens):
+        e = u.exponents
+        m = max(i + 1 for i, x in enumerate(e) if x)
+        for j in range(1, m):
+            se = list(e)
+            se[j - 1] += 1
+            se[m - 1] -= 1
+            if not any(all(g <= x for g, x in zip(w.exponents, se)) for w in members.gens):
+                failing.append(((j - m, j, pos), u, j, tuple(se)))
+    if not failing:
+        return None
+    _, u, j, shifted = min(failing)
+    return StabilityWitness(u, j, Monomial(shifted))
+
+
+def reference_pure_power_stable(a):
+    """Stability of (x_1^a_1, ..., x_n^a_n) truncated at t = sum - max,
+    with each shift built as a list and tested against the exponents."""
+    n = len(a)
+    t = sum(a) - a[0]
+    ideal = MonomialIdeal(n, (Monomial.variable(i + 1, n, a[i]) for i in range(n)))
+    for g in ideal.truncate(t).gens:
+        m = g.max_index()
+        for j in range(1, m):
+            se = list(g.exponents)
+            se[j - 1] += 1
+            se[m - 1] -= 1
+            if not any(se[i] >= a[i] for i in range(n)):
+                return False
+    return True
 
 
 def small_ideals():
@@ -74,8 +111,44 @@ def test_truncation_stable_at_three():
 def test_truncation_stability_matches_direct_check(ideal, t):
     fast = truncation_stability(ideal, t)
     direct = is_stable(ideal.truncate(t))
-    assert fast.is_stable == direct.is_stable
-    assert fast.witness == direct.witness
+    expected = reference_witness(ideal.truncate(t), ideal)
+    assert fast.ideal == direct.ideal == ideal.truncate(t)
+    assert fast.is_stable == direct.is_stable == (expected is None)
+    assert fast.witness == direct.witness == expected
+
+
+@given(small_ideals())
+@settings(max_examples=60)
+def test_is_stable_matches_reference(ideal):
+    report = is_stable(ideal)
+    expected = reference_witness(ideal, ideal)
+    assert report.ideal == ideal
+    assert report.is_stable == (expected is None)
+    assert report.witness == expected
+
+
+def test_witness_tie_breaks():
+    # x2^2 fails at j=1 with gap 1; the later x3^3 fails at j=1 (gap 2)
+    # and at j=2 (gap 1), so the later generator's first shift wins.
+    ideal = MonomialIdeal.from_exponents(3, [(0, 2, 0), (0, 0, 3)])
+    assert [str(g) for g in ideal.gens] == ["x2^2", "x3^3"]
+    w = is_stable(ideal).witness
+    assert (w.generator, w.shift_index, w.shifted) == (
+        Monomial.of(0, 0, 3), 1, Monomial.of(1, 0, 2)
+    )
+    assert w == reference_witness(ideal, ideal)
+    # Equal gap and equal j: the earlier generator wins.
+    ideal = MonomialIdeal.from_exponents(3, [(0, 1, 1), (1, 0, 1)])
+    w = is_stable(ideal).witness
+    assert (w.generator, w.shift_index) == (Monomial.of(1, 0, 1), 1)
+    assert w == reference_witness(ideal, ideal)
+    # The shift at j=1 stays inside, the one at j=2 does not.
+    ideal = MonomialIdeal.from_exponents(3, [(2, 0, 0), (1, 0, 1)])
+    w = is_stable(ideal).witness
+    assert (w.generator, w.shift_index, w.shifted) == (
+        Monomial.of(1, 0, 1), 2, Monomial.of(1, 1, 0)
+    )
+    assert w == reference_witness(ideal, ideal)
 
 
 @given(small_ideals())
@@ -110,6 +183,15 @@ def test_pure_power_truncation_stable():
     assert pure_power_truncation_stable((3, 3, 2, 1))
 
 
+def test_pure_power_matches_reference_on_every_small_vector():
+    checked = 0
+    for n in range(2, 6):
+        for a in itertools.combinations_with_replacement(range(n - 1, 0, -1), n):
+            assert pure_power_truncation_stable(a) == reference_pure_power_stable(a)
+            checked += 1
+    assert checked == 1 + 4 + 15 + 56
+
+
 def test_pure_power_hypothesis_errors():
     with pytest.raises(ValueError, match="nonincreasing"):
         pure_power_truncation_stable((1, 2))
@@ -117,37 +199,3 @@ def test_pure_power_hypothesis_errors():
         pure_power_truncation_stable((1, 0))
     with pytest.raises(ValueError, match="leading exponent"):
         pure_power_truncation_stable((3, 1))
-
-
-def test_intersection_truncation_stable():
-    first = MonomialIdeal.from_exponents(3, [(1, 0, 0), (0, 1, 0)])
-    second = COUNTEREXAMPLE
-    assert intersection_truncation_stable(first, second, 1, 3)
-    with pytest.raises(ValueError, match="second"):
-        intersection_truncation_stable(first, second, 1, 2)
-    with pytest.raises(ValueError, match="first"):
-        intersection_truncation_stable(
-            MonomialIdeal.from_exponents(3, [(0, 1, 0)]), second, 1, 3
-        )
-
-
-def test_dual_truncation_stable_chain():
-    h = build_hypergraph(3, 1, [frozenset({1, 2}), frozenset({1, 2, 3})])
-    check = dual_truncation_stable(h)
-    assert check.stable
-    assert check.t == 3
-    assert not check.restricted
-
-
-def test_dual_truncation_stable_restricted():
-    h = build_hypergraph(5, 1, [frozenset({4, 5}), frozenset({3, 4, 5})])
-    check = dual_truncation_stable(h)
-    assert check.stable
-    assert check.restricted
-
-
-def test_minimal_stable_truncation_degree():
-    assert minimal_stable_truncation_degree(COUNTEREXAMPLE, 3) == 3
-    assert minimal_stable_truncation_degree(COUNTEREXAMPLE, 2) is None
-    level = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
-    assert minimal_stable_truncation_degree(level, 2) == 0
