@@ -19,11 +19,9 @@ from .ideals import (
     IrreducibleComponent,
     MonomialIdeal,
     alexander_dual,
-    associated_primes,
     dual_components,
     intersect_components,
     irredundant_filter,
-    is_totally_ordered_ass,
     minimal_generators,
     vector_complement,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "StabilityReport",
     "StabilityWitness",
     "alexander_dual",
-    "associated_primes",
     "betti_table",
     "build_hypergraph",
     "canonical_vertex_order",
@@ -66,7 +63,6 @@ __all__ = [
     "irredundant_filter",
     "is_stable",
     "is_stable_exhaustive",
-    "is_totally_ordered_ass",
     "lcm_lattice",
     "matrix_rank",
     "minimal_generators",

@@ -264,10 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # InputError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except GuardError as exc:

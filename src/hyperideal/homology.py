@@ -1,13 +1,14 @@
 """Reduced simplicial homology over Q or GF(p) with exact arithmetic.
 
-Boundary-matrix ranks are computed by fraction-free (Bareiss) elimination
-over the integers for characteristic zero and by Gaussian elimination for
-a prime field; there is no floating point anywhere.
+Boundary-matrix ranks come from one sparse row reduction: over a prime
+field every entry is reduced mod p, over Q each row is kept integral and
+divided by the gcd of its entries; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 MAX_GROUND_VERTICES = 20
@@ -57,64 +58,46 @@ def validate_characteristic(char: int) -> None:
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
-def _rank_bareiss(m: list[list[int]]) -> int:
-    """Rank over Q via one-step fraction-free elimination; all divisions
-    are exact by the Bareiss identity."""
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            factor = m[r][col]
-            row = m[r]
-            top = m[rank]
-            for c in range(col + 1, n_cols):
-                row[c] = (pivot * row[c] - factor * top[c]) // prev
-            row[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def _rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over GF(p), or over Q when p is 0, by sparse row reduction.
 
-
-def _rank_mod_p(m: list[list[int]], p: int) -> int:
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    m = [[e % p for e in row] for row in m]
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(e * inv) % p for e in m[rank]]
-        for r in range(rank + 1, n_rows):
-            f = m[r][col]
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    Each row becomes ``{column: value}`` and is reduced against the pivot
+    rows kept so far, one per leading column, by r <- a*r - b*top with a
+    the pivot's leading entry; the step is invertible because a != 0.
+    Over GF(p) entries are reduced mod p; over Q each row is divided by
+    the gcd of its entries, so rows stay integral and small.
+    """
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for dense in rows:
+        row = {c: v for c, v in enumerate(dense) if v}
+        while True:
+            if p:
+                row = {c: r for c, v in row.items() if (r := v % p)}
+            else:
+                row = {c: v for c, v in row.items() if v}
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
+            if not row:
+                break
+            lead = min(row)
+            b = row.pop(lead)
+            if lead not in pivots:
+                pivots[lead] = (b, row)
+                break
+            # The leading entries cancel, so the pivot rows are kept
+            # without them.
+            a, top = pivots[lead]
+            row = {c: a * v for c, v in row.items()}
+            for c, v in top.items():
+                row[c] = row.get(c, 0) - b * v
+    return len(pivots)
 
 
 def matrix_rank(rows: Sequence[Sequence[int]], char: int = 0) -> int:
     """Exact rank of an integer matrix over Q (char 0) or GF(char)."""
     validate_characteristic(char)
-    m = [list(r) for r in rows]
-    if char == 0:
-        return _rank_bareiss(m)
-    return _rank_mod_p(m, char)
+    return _rank(rows, char)
 
 
 class SimplicialComplex:
@@ -164,16 +147,6 @@ class SimplicialComplex:
     @property
     def is_void(self) -> bool:
         return not self.faces
-
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.faces == frozenset({frozenset()})
-
-    def dimension(self) -> int:
-        """Largest face size minus one; -1 for {∅}, undefined (raises) when void."""
-        if self.is_void:
-            raise ValueError("the void complex has no dimension")
-        return max(len(f) for f in self.faces) - 1
 
     def _faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         by_dim: dict[int, list[tuple[int, ...]]] = {}

@@ -294,29 +294,3 @@ def irredundant_filter(
                 changed = True
                 break
     return comps
-
-
-def associated_primes(
-    components: Sequence[IrreducibleComponent],
-) -> list[frozenset[int]]:
-    """Supports of the irredundant components, deduplicated in order.
-
-    For an intersection given in irreducible form these supports are the
-    associated primes (the radical of a pure-power ideal is the prime on
-    its support).
-    """
-    if not components:
-        raise ValueError("no components given")
-    seen: list[frozenset[int]] = []
-    for comp in irredundant_filter(components):
-        s = comp.support()
-        if s not in seen:
-            seen.append(s)
-    return seen
-
-
-def is_totally_ordered_ass(components: Sequence[IrreducibleComponent]) -> bool:
-    """True iff the associated primes form a chain under set inclusion."""
-    primes = associated_primes(components)
-    primes.sort(key=lambda s: (len(s), sorted(s)))
-    return all(a <= b for a, b in zip(primes, primes[1:]))

@@ -138,9 +138,6 @@ class Monomial:
                 parts.append(f"x{i + 1}^{e}")
         return "*".join(parts)
 
-    def vector_str(self) -> str:
-        return "[" + ",".join(str(e) for e in self.exponents) + "]"
-
 
 def divides_any(gens: Iterable[tuple[int, ...]], u: tuple[int, ...]) -> bool:
     """Membership primitive: true iff some exponent tuple in ``gens`` is

@@ -8,11 +8,9 @@ from hyperideal.ideals import (
     IrreducibleComponent,
     MonomialIdeal,
     alexander_dual,
-    associated_primes,
     dual_components,
     intersect_components,
     irredundant_filter,
-    is_totally_ordered_ass,
     minimal_generators,
     vector_complement,
 )
@@ -190,20 +188,6 @@ def test_irredundant_filter_drops_superfluous_component():
     filtered = irredundant_filter(padded)
     assert filtered == keep
     assert intersect_components(filtered) == intersect_components(padded)
-
-
-def test_associated_primes_chain_detection():
-    chain = [
-        IrreducibleComponent(3, (1, 1, 0)),
-        IrreducibleComponent(3, (2, 2, 1)),
-    ]
-    assert associated_primes(chain) == [frozenset({1, 2}), frozenset({1, 2, 3})]
-    assert is_totally_ordered_ass(chain)
-    split = [
-        IrreducibleComponent(3, (1, 0, 0)),
-        IrreducibleComponent(3, (0, 1, 0)),
-    ]
-    assert not is_totally_ordered_ass(split)
 
 
 def test_ideal_equality_and_hash():

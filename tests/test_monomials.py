@@ -108,7 +108,6 @@ def test_str_forms():
     assert str(Monomial.unit(3)) == "1"
     assert str(Monomial.of(3, 3, 0, 0)) == "x1^3*x2^3"
     assert str(Monomial.of(1, 0, 1, 1)) == "x1*x3*x4"
-    assert Monomial.of(3, 3, 0, 0).vector_str() == "[3,3,0,0]"
 
 
 def test_compositions_count_and_order():
