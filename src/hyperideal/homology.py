@@ -7,6 +7,7 @@ divided by the gcd of its entries; there is no floating point anywhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -24,6 +25,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_CHARACTERISTIC = 3317044064679887385961981
 
 
+# Cached: every rank call re-validates its characteristic, and one run
+# uses one or two characteristics.
+@lru_cache(maxsize=8)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, exact for 2 <= p < MAX_CHARACTERISTIC."""
     for a in _MR_BASES:

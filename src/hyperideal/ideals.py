@@ -9,10 +9,15 @@ representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from math import comb
 from typing import Iterable, Sequence
 
+from .homology import GuardError
 from .monomials import Monomial, canonical_sorted, compositions, divides_any
+
+# Most degree-t monomials a truncation may list: C(t+n-1, n-1) bounds
+# their number, and truncate refuses before enumerating above it.
+MAX_TRUNCATION = 10**6
 
 
 def _minimize(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -34,6 +39,44 @@ def _minimize(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
         if not divides_any(smaller, e):
             kept.append(e)
     return kept
+
+
+def _degree_members(
+    gens: Sequence[tuple[int, ...]], n: int, t: int
+) -> list[tuple[int, ...]]:
+    """Every degree-t member of the ideal generated by ``gens`` (exponent
+    tuples of degree <= t, at least one), each once, in canonical order.
+
+    Coordinates are filled left to right, largest value first.  A partial
+    vector keeps only the generators that still fit: g_i <= e_i on the
+    coordinates filled so far, and the rest of g no larger than the
+    degree left.  A branch that keeps none is dropped.  Once a kept
+    generator has nothing left to place, or only the last coordinate is
+    open, every completion of the degree left is a member.
+    """
+    # Each generator travels with its tail sums, tail[i] = sum(g[i:]).
+    fits = []
+    for g in gens:
+        tail = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            tail[i] = tail[i + 1] + g[i]
+        fits.append((g, tail))
+    members: list[tuple[int, ...]] = []
+    last = n - 1
+
+    def fill(head: tuple[int, ...], left: int, active: list) -> None:
+        i = len(head)
+        if i == last or any(not tail[i] for _, tail in active):
+            members.extend(head + c for c in compositions(left, n - i))
+            return
+        for v in range(left, -1, -1):
+            rest = left - v
+            keep = [gt for gt in active if gt[0][i] <= v and gt[1][i + 1] <= rest]
+            if keep:
+                fill(head + (v,), rest, keep)
+
+    fill((), t, fits)
+    return members
 
 
 def minimal_generators(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -131,22 +174,31 @@ class MonomialIdeal:
     def truncate(self, t: int) -> MonomialIdeal:
         """The ideal generated by the members of degree >= t.
 
-        Generators below degree t are padded up to degree t by every
-        complementary monomial; generators at degree >= t are kept.
+        Its minimal generators are the degree-t members, listed once each
+        by :func:`_degree_members`, followed by the generators above
+        degree t; no minimization is needed, since a degree-t member
+        never strictly divides a minimal generator.  Returns ``self``
+        when no generator lies below degree t.  Raises ``GuardError``
+        before enumerating when C(t+n-1, n-1), the number of degree-t
+        monomials, exceeds ``MAX_TRUNCATION``.
         """
         if self.is_zero:
             raise ValueError("truncation of the zero ideal is undefined")
-        if t <= 0:
+        degrees = [sum(g) for g in self._exps]
+        if min(degrees) >= t:
             return self
-        cands: list[tuple[int, ...]] = []
-        for g in self._exps:
-            gap = t - sum(g)
-            if gap <= 0:
-                cands.append(g)
-            else:
-                for w in compositions(gap, self.n):
-                    cands.append(tuple(map(add, g, w)))
-        return MonomialIdeal._trusted(self.n, cands)
+        estimate = comb(t + self.n - 1, self.n - 1)
+        if estimate > MAX_TRUNCATION:
+            raise GuardError(
+                f"truncation at t={t} in n={self.n} variables: C(t+n-1, n-1) = "
+                f"{estimate:.2g} degree-t monomials exceed the desk-scale "
+                f"limit {MAX_TRUNCATION}"
+            )
+        fit = [g for g, d in zip(self._exps, degrees) if d <= t]
+        above = [g for g, d in zip(self._exps, degrees) if d > t]
+        cut = object.__new__(MonomialIdeal)
+        cut._fill(self.n, _degree_members(fit, self.n, t) + above)
+        return cut
 
     def deg(self) -> int:
         """Highest degree among the minimal generators."""

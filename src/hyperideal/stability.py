@@ -53,7 +53,9 @@ def _witness(
     generator order), i.e. the shift reaching furthest left of the
     generator's top variable.  For one generator the first failing j has
     the largest gap, so its scan stops there.  The shifts x_j * u / x_m
-    are built in place from one copy of u with x_m removed.
+    are built in place from one copy of u with x_m removed.  When u / x_m
+    itself is a member, every shift is its multiple, so one membership
+    test settles u and the scan is skipped.
     """
     best: Optional[StabilityWitness] = None
     best_key = None
@@ -61,6 +63,8 @@ def _witness(
         m = u.max_index()
         exps = list(u.exponents)
         exps[m - 1] -= 1
+        if members.contains(Monomial._trusted(tuple(exps))):
+            continue
         for j in range(1, m):
             exps[j - 1] += 1
             shifted = Monomial._trusted(tuple(exps))

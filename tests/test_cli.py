@@ -214,6 +214,26 @@ def test_gen_deterministic_and_loadable(in_repo_root, tmp_path, capsys):
     assert "kind: hypergraph" in check_out
 
 
+@pytest.mark.parametrize(
+    "shape, flags",
+    [
+        # The dual's truncation at t=49 would list C(62, 13) ~ 8.3e12
+        # monomials, the one at t=36 in 9 variables C(44, 8) ~ 1.8e8; the
+        # guard stops the first truncation above the limit.
+        (["--n", "14", "--s", "7", "--d", "2"], ["--skip-reg"]),
+        (["--n", "9", "--s", "8", "--d", "1"], []),
+    ],
+)
+def test_check_refuses_large_truncations(in_repo_root, tmp_path, capsys, shape, flags):
+    instance = tmp_path / "h.json"
+    assert run(capsys, ["gen", *shape, "--seed", "1", "--out", str(instance)])[0] == 0
+    code, out, err = run(capsys, ["check", str(instance), *flags])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("guard: truncation at t=") and err.count("\n") == 1
+    assert "desk-scale limit 1000000" in err
+
+
 def test_gen_infeasible(in_repo_root, capsys):
     code, _, err = run(capsys, ["gen", "--n", "3", "--s", "4", "--d", "2"])
     assert code == 2

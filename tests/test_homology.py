@@ -9,6 +9,7 @@ from hyperideal.homology import (
     MAX_CHARACTERISTIC,
     GuardError,
     SimplicialComplex,
+    _is_prime,
     matrix_rank,
     simplex_faces,
     validate_characteristic,
@@ -137,6 +138,17 @@ def test_characteristic_validation_matches_sieve():
         except ValueError:
             accepted = False
         assert accepted == (not composite[k]), k
+
+
+def test_characteristic_checked_once_per_homology_call():
+    # reduced_homology_dims and each of its rank calls validate the
+    # characteristic; Miller-Rabin runs once.
+    p = 1000000000000000003
+    complex_ = complex_of(range(1, 5), [(1, 2, 3), (3, 4), (2, 4)])
+    _is_prime.cache_clear()
+    assert complex_.reduced_homology_dims(p) == complex_.reduced_homology_dims(0)
+    info = _is_prime.cache_info()
+    assert info.misses <= 1 and info.hits >= 3
 
 
 @given(st.one_of(matrices, wide_matrices))

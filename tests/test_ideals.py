@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperideal.homology import GuardError
 from hyperideal.ideals import (
+    MAX_TRUNCATION,
     IrreducibleComponent,
     MonomialIdeal,
     alexander_dual,
@@ -14,7 +16,7 @@ from hyperideal.ideals import (
     minimal_generators,
     vector_complement,
 )
-from hyperideal.monomials import Monomial
+from hyperideal.monomials import Monomial, compositions
 
 
 def ideal_of(n, *vectors):
@@ -115,6 +117,69 @@ def test_truncate_noop_and_errors():
     assert ideal.truncate(-2) is ideal
     with pytest.raises(ValueError):
         MonomialIdeal.zero(2).truncate(1)
+
+
+def reference_truncate(ideal, t):
+    """The padding loop ``truncate`` used to run: each generator below
+    degree t times every monomial of the missing degree, then minimized."""
+    if t <= 0:
+        return ideal
+    cands = []
+    for g in ideal.gens:
+        gap = t - g.degree()
+        if gap <= 0:
+            cands.append(g)
+        else:
+            cands.extend(g.times(Monomial(w)) for w in compositions(gap, ideal.n))
+    return MonomialIdeal(ideal.n, cands)
+
+
+# Zero vectors allowed, so the unit ideal and generators of every degree
+# from 0 up appear.
+any_ideals = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+        min_size=1,
+        max_size=5,
+    ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
+)
+
+
+@given(any_ideals, st.data())
+@settings(max_examples=150, deadline=None)
+def test_truncate_matches_padding_reference(ideal, data):
+    t = data.draw(st.integers(min_value=0, max_value=ideal.deg() + 3))
+    cut = ideal.truncate(t)
+    expected = reference_truncate(ideal, t)
+    # Equal ideals have equal generator tuples in canonical order.
+    assert cut == expected
+    assert cut.gens == expected.gens
+    if all(g.degree() >= t for g in ideal.gens):
+        assert cut is ideal
+
+
+def test_truncate_generators_at_above_and_below_t():
+    ideal = ideal_of(3, (1, 0, 0), (0, 2, 0), (0, 0, 3))
+    cut = ideal.truncate(2)
+    assert [g.exponents for g in cut.gens] == [
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 3)
+    ]
+    assert cut == reference_truncate(ideal, 2)
+    unit = MonomialIdeal.unit_ideal(3)
+    assert unit.truncate(2).gens == tuple(map(Monomial, compositions(2, 3)))
+
+
+def test_truncate_guard():
+    # C(49+13, 13) is about 8.3e12 degree-49 monomials in 14 variables.
+    with pytest.raises(GuardError) as exc:
+        MonomialIdeal.unit_ideal(14).truncate(49)
+    message = str(exc.value)
+    assert "\n" not in message
+    assert "t=49" in message and "n=14" in message
+    assert "8.3e+12" in message and str(MAX_TRUNCATION) in message
+    # Nothing is enumerated when no generator lies below t.
+    high = ideal_of(14, (49,) + (0,) * 13, (0,) * 13 + (50,))
+    assert high.truncate(49) is high
 
 
 @given(small_ideals(), st.integers(min_value=1, max_value=6))

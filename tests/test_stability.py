@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,40 @@ def test_truncation_stability_matches_direct_check(ideal, t):
     assert fast.ideal == direct.ideal == ideal.truncate(t)
     assert fast.is_stable == direct.is_stable == (expected is None)
     assert fast.witness == direct.witness == expected
+
+
+def skip_split(candidates, members):
+    """How many generators u of ``candidates`` have u / x_m in ``members``
+    (one test settles them), and how many do not."""
+    skipped = 0
+    for u in candidates.gens:
+        e = list(u.exponents)
+        m = max(i + 1 for i, x in enumerate(e) if x)
+        e[m - 1] -= 1
+        skipped += members.contains(Monomial(tuple(e)))
+    return skipped, len(candidates.gens) - skipped
+
+
+def test_truncation_witness_with_and_without_skips():
+    rng = random.Random(20261018)
+    mixed = verdicts = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        vectors = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        if not all(any(v) for v in vectors):
+            continue
+        ideal = MonomialIdeal.from_exponents(n, vectors)
+        t = rng.randint(1, ideal.deg() + 2)
+        cut = ideal.truncate(t)
+        expected = reference_witness(cut, ideal)
+        assert truncation_stability(ideal, t).witness == expected
+        assert is_stable(cut).witness == expected
+        skipped, scanned = skip_split(cut, ideal)
+        if skipped and scanned:
+            mixed += 1
+            verdicts |= 1 << (expected is None)
+    # Truncations mixing both kinds of candidates, stable and unstable.
+    assert mixed >= 50 and verdicts == 3
 
 
 @given(small_ideals())
