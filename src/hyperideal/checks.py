@@ -174,7 +174,7 @@ def run_hypergraph_checks(
     a = containment_vector(h)
     ideal = inclusion_ideal(h)
     dual, comps = special_dual(h)
-    restricted, dual_r, comps_r = restricted_dual(h)
+    restricted, dual_r, comps_r = restricted_dual(h, dual, comps)
 
     t = t_bound(a)
     q = q_bound(dual_r)
@@ -221,18 +221,16 @@ def run_hypergraph_checks(
         )
     )
 
+    component_exps = [comp.powers[: len(comp.support())] for comp in comps_r]
     component_results = []
     component_error = ""
-    for comp in comps_r:
-        exps = comp.powers[: len(comp.support())]
+    for exps in component_exps:
         try:
             component_results.append(pure_power_truncation_stable(exps))
         except ValueError as exc:
             component_results.append(False)
             component_error = str(exc)
-    component_ts = ",".join(
-        str(t_bound(comp.powers[: len(comp.support())])) for comp in comps_r
-    )
+    component_ts = ",".join(str(t_bound(exps)) for exps in component_exps)
     claims.append(
         _verdict(
             "component_truncations_stable",

@@ -82,7 +82,7 @@ def cmd_dual(args) -> int:
     a = containment_vector(h)
     ideal = inclusion_ideal(h)
     dual, comps = special_dual(h)
-    _, dual_r, _ = restricted_dual(h)
+    _, dual_r, _ = restricted_dual(h, dual, comps)
     lines = [
         f"n={h.n} d={h.d} s={h.s}",
         "a=[" + ",".join(str(e) for e in a) + "]",
@@ -119,7 +119,7 @@ def _input_ideal(path: str):
     special dual in canonical restricted form."""
     obj = load_path(path)
     if isinstance(obj, IncreasingHypergraph):
-        return restricted_dual(obj)[1]
+        return restricted_dual(obj, *special_dual(obj))[1]
     return obj
 
 

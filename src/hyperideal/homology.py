@@ -160,11 +160,6 @@ class SimplicialComplex:
             lst.sort()
         return by_dim
 
-    def boundary_matrix(self, k: int) -> list[list[int]]:
-        """Matrix of the boundary map from k-faces to (k-1)-faces, with the
-        usual alternating signs; the empty face sits in degree -1."""
-        return _boundary_matrix(self._faces_by_dim(), k)
-
     def reduced_homology_dims(self, char: int = 0) -> tuple[int, ...]:
         """Dimensions of reduced homology, indexed from degree -1 upward.
 

@@ -157,19 +157,26 @@ def covered_restriction(h: IncreasingHypergraph) -> IncreasingHypergraph:
 
 
 def restricted_dual(
-    h: IncreasingHypergraph,
+    h: IncreasingHypergraph, dual: MonomialIdeal, comps: tuple[IrreducibleComponent, ...]
 ) -> tuple[IncreasingHypergraph, MonomialIdeal, tuple[IrreducibleComponent, ...]]:
     """The form in which every order-sensitive quantity is computed.
 
     Stability, q and the regularity oracle depend on the variable order,
     so the hypergraph is brought to canonical vertex order and its
-    edge-free vertices are dropped before the special dual is taken.
+    edge-free vertices, which carry exponent 0 throughout the dual, are
+    dropped: ``dual, comps = special_dual(h)`` is relabeled, not recomputed.
     Returns the restricted hypergraph, its dual and the dual's components.
     """
-    canonical, _ = canonical_vertex_order(h)
+    canonical, perm = canonical_vertex_order(h)
     restricted = covered_restriction(canonical)
-    dual, comps = special_dual(restricted)
-    return restricted, dual, comps
+    covered = sorted(range(h.n), key=perm.__getitem__)[: restricted.n]  # old index by new label
+
+    def relabel(e: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(e[v] for v in covered)
+
+    dual_r = MonomialIdeal._trusted(restricted.n, (relabel(g.exponents) for g in dual.gens))
+    comps_r = tuple(IrreducibleComponent(restricted.n, relabel(c.powers)) for c in comps)
+    return restricted, dual_r, comps_r
 
 
 def random_instance(n: int, d: int, s: int, seed: int) -> IncreasingHypergraph:

