@@ -23,7 +23,6 @@ from .ideals import (
     intersect_components,
     irredundant_filter,
     minimal_generators,
-    vector_complement,
 )
 from .monomials import Monomial, compositions
 from .stability import (
@@ -76,7 +75,6 @@ __all__ = [
     "special_dual",
     "t_bound",
     "truncation_stability",
-    "vector_complement",
 ]
 
 __version__ = "0.1.0"

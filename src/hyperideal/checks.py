@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import MAX_GENERATORS, betti_table, euler_consistency_check
+from .betti import betti_table, euler_consistency_check
+from .homology import GuardError
 from .hypergraphs import (
     IncreasingHypergraph,
     containment_vector,
@@ -139,23 +140,26 @@ def _verdict(name: str, ok: bool, good: str, bad: str) -> ClaimResult:
 def _regularity_oracle(
     ideal: MonomialIdeal, char: int, skip_reg: bool
 ) -> tuple[int | None, str, ClaimResult]:
-    """Run the Betti oracle on ``ideal`` unless the flag or the guard says
-    not to.  Returns the regularity (None when skipped), the reason it was
-    skipped, and the euler_consistency claim."""
+    """Run the Betti oracle on ``ideal`` unless the flag says not to; a
+    guard the Betti layer raises becomes the skip reason.  Returns the
+    regularity (None when skipped), the reason it was skipped, and the
+    euler_consistency claim."""
     if skip_reg:
         reason = "regularity oracle disabled by flag"
-    elif len(ideal.gens) > MAX_GENERATORS:
-        reason = f"{len(ideal.gens)} generators exceed the oracle guard {MAX_GENERATORS}"
     else:
-        table = betti_table(ideal, char)
-        ok, mismatches = euler_consistency_check(ideal, table)
-        euler = _verdict(
-            "euler_consistency",
-            ok,
-            "alternating sums match at every lattice point",
-            f"mismatch at {len(mismatches)} multidegrees, first {list(mismatches[0]) if mismatches else ''}",
-        )
-        return table.regularity(), "", euler
+        try:
+            table = betti_table(ideal, char)
+        except GuardError as exc:
+            reason = str(exc)
+        else:
+            ok, mismatches = euler_consistency_check(ideal, table)
+            euler = _verdict(
+                "euler_consistency",
+                ok,
+                "alternating sums match at every lattice point",
+                f"mismatch at {len(mismatches)} multidegrees, first {list(mismatches[0]) if mismatches else ''}",
+            )
+            return table.regularity(), "", euler
     return None, reason, ClaimResult("euler_consistency", SKIPPED, reason)
 
 
@@ -221,6 +225,10 @@ def run_hypergraph_checks(
         )
     )
 
+    # The last component is x_v^{a_v} on every covered vertex, so the
+    # dual's truncation bounds every component's: its guard fires first.
+    trunc_report = truncation_stability(dual_r, t)
+
     component_exps = [comp.powers[: len(comp.support())] for comp in comps_r]
     component_results = []
     component_error = ""
@@ -249,7 +257,6 @@ def run_hypergraph_checks(
         )
     )
 
-    trunc_report = truncation_stability(dual_r, t)
     stable_at_t = trunc_report.is_stable
     claims.append(
         _verdict(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -206,6 +207,7 @@ def _add_common(parser: argparse.ArgumentParser, char: bool = True) -> None:
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperideal",
@@ -260,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # InputError is a ValueError

@@ -19,7 +19,6 @@ from .ideals import (
     dual_components,
     intersect_components,
 )
-from .monomials import Monomial
 
 
 @dataclass(frozen=True)
@@ -79,18 +78,17 @@ def containment_vector(h: IncreasingHypergraph) -> tuple[int, ...]:
 def inclusion_ideal(h: IncreasingHypergraph) -> MonomialIdeal:
     """One generator per edge: every vertex of edge i raised to s - i + 1.
 
-    The construction yields a minimal generating set; this is verified
-    rather than assumed.
+    The edges are strictly nested, so no generator divides another; the
+    ``inclusion_ideal_minimal`` claim checks that the s generators stay.
     """
     s = h.s
-    gens = []
-    for i, edge in enumerate(h.edges, start=1):
-        power = s - i + 1
-        gens.append(Monomial(tuple(power if v in edge else 0 for v in range(1, h.n + 1))))
-    ideal = MonomialIdeal(h.n, gens)
-    if len(ideal.gens) != s:
-        raise RuntimeError("edge generators unexpectedly failed to be minimal")
-    return ideal
+    return MonomialIdeal._trusted(
+        h.n,
+        (
+            tuple(s - i + 1 if v in edge else 0 for v in range(1, h.n + 1))
+            for i, edge in enumerate(h.edges, start=1)
+        ),
+    )
 
 
 def special_dual(
@@ -165,11 +163,14 @@ def restricted_dual(
     so the hypergraph is brought to canonical vertex order and its
     edge-free vertices, which carry exponent 0 throughout the dual, are
     dropped: ``dual, comps = special_dual(h)`` is relabeled, not recomputed.
-    Returns the restricted hypergraph, its dual and the dual's components.
+    The canonical form is restricted in place; :func:`covered_restriction`
+    is the checked stepwise equivalent.  Returns the restricted
+    hypergraph, its dual and the dual's components.
     """
     canonical, perm = canonical_vertex_order(h)
-    restricted = covered_restriction(canonical)
-    covered = sorted(range(h.n), key=perm.__getitem__)[: restricted.n]  # old index by new label
+    r = len(canonical.edges[-1])  # the covered vertices are 1..r
+    restricted = IncreasingHypergraph(r, h.d, canonical.edges)
+    covered = sorted(range(h.n), key=perm.__getitem__)[:r]  # old index by new label
 
     def relabel(e: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(e[v] for v in covered)

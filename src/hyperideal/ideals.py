@@ -229,30 +229,13 @@ class IrreducibleComponent:
             raise ValueError("an irreducible component needs a positive entry")
         object.__setattr__(self, "powers", powers)
 
-    def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(
-            self.n,
-            (Monomial.variable(i + 1, self.n, p) for i, p in enumerate(self.powers) if p >= 1),
-        )
-
     def support(self) -> frozenset[int]:
         return frozenset(i + 1 for i, p in enumerate(self.powers) if p >= 1)
 
     def __str__(self) -> str:
-        return str(self.as_ideal())
-
-
-def vector_complement(c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
-    """Coordinatewise complement of d inside c: c_i + 1 - d_i where d_i >= 1,
-    and 0 where d_i = 0.  Requires d <= c componentwise."""
-    if len(c) != len(d):
-        raise ValueError(f"vector length mismatch: {len(c)} vs {len(d)}")
-    for i, (ci, di) in enumerate(zip(c, d)):
-        if di > ci:
-            raise ValueError(
-                f"complement undefined: entry {i + 1} has {di} > {ci}"
-            )
-    return tuple(ci + 1 - di if di >= 1 else 0 for ci, di in zip(c, d))
+        """The pure powers in canonical order: power ascending, then index."""
+        order = sorted((p, i) for i, p in enumerate(self.powers, start=1) if p)
+        return ", ".join(f"x{i}^{p}" if p > 1 else f"x{i}" for p, i in order)
 
 
 def intersect_components(components: Sequence[IrreducibleComponent]) -> MonomialIdeal:
@@ -293,8 +276,9 @@ def alexander_dual(ideal: MonomialIdeal, c: Sequence[int]) -> MonomialIdeal:
 
 
 def dual_components(ideal: MonomialIdeal, c: Sequence[int]) -> tuple[IrreducibleComponent, ...]:
-    """The irreducible components of the dual, one per minimal generator,
-    in generator order."""
+    """The irreducible components of the dual, one per minimal generator
+    x^g, in generator order: m^v with v_i = c_i + 1 - g_i where g_i >= 1
+    and v_i = 0 where g_i = 0.  Every generator must divide x^c."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("dual undefined for the zero and unit ideals")
     c = tuple(c)
@@ -305,7 +289,9 @@ def dual_components(ideal: MonomialIdeal, c: Sequence[int]) -> tuple[Irreducible
         if not g.divides(bound):
             raise ValueError(f"generator {g} does not divide x^c with c={list(c)}")
     return tuple(
-        IrreducibleComponent(ideal.n, vector_complement(c, g.exponents))
+        IrreducibleComponent(
+            ideal.n, tuple(ci + 1 - gi if gi else 0 for ci, gi in zip(c, g.exponents))
+        )
         for g in ideal.gens
     )
 

@@ -131,6 +131,8 @@ def _check_pure_power_hypothesis(exponents: Sequence[int]) -> tuple[int, ...]:
     n = len(a)
     if n < 1:
         raise ValueError("need at least one exponent")
+    if not all(isinstance(e, int) and not isinstance(e, bool) for e in a):
+        raise ValueError(f"exponents must be integers, got {list(a)}")
     if any(a[i] < a[i + 1] for i in range(n - 1)):
         raise ValueError(f"exponents must be nonincreasing, got {list(a)}")
     if a[-1] < 1:
@@ -150,8 +152,8 @@ def pure_power_truncation_stable(exponents: Sequence[int]) -> bool:
     """
     a = _check_pure_power_hypothesis(exponents)
     n = len(a)
-    ideal = MonomialIdeal(
-        n, (Monomial.variable(i + 1, n, a[i]) for i in range(n))
+    ideal = MonomialIdeal._trusted(
+        n, ((0,) * i + (a[i],) + (0,) * (n - i - 1) for i in range(n))
     )
     return _witness(ideal.truncate(sum(a) - a[0]), ideal) is None
 

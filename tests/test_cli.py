@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -248,8 +249,63 @@ def test_check_refuses_large_truncations(in_repo_root, tmp_path, capsys, shape, 
     code, out, err = run(capsys, ["check", str(instance), *flags])
     assert code == 3
     assert out == ""
-    assert err.startswith("guard: truncation at t=") and err.count("\n") == 1
+    # The guard meets the dual's truncation, the largest, before any other.
+    dual_truncation = {"14": "t=49 in n=14", "9": "t=36 in n=9"}[shape[1]]
+    assert err.startswith(f"guard: truncation at {dual_truncation} variables:")
+    assert err.count("\n") == 1
     assert "desk-scale limit 1000000" in err
+
+
+@pytest.mark.parametrize(
+    "gens, detail",
+    [
+        # 21 variables: the Koszul complex at the lcm exceeds the ground-set limit.
+        (
+            [[1] * 11 + [0] * 10, [0] * 11 + [1] * 10],
+            "ground set of size 21 exceeds the desk-scale limit 20",
+        ),
+        # Every quadric in 6 variables: 21 generators exceed the lattice guard.
+        (
+            [[int(i == k) + int(j == k) for k in range(6)] for i in range(6) for j in range(i, 6)],
+            "21 generators exceed the desk-scale limit 20",
+        ),
+    ],
+    ids=["ground_set", "generators"],
+)
+def test_check_reports_oracle_guards_as_skipped(tmp_path, capsys, gens, detail):
+    instance = tmp_path / "ideal.json"
+    instance.write_text(json.dumps({"n": len(gens[0]), "gens": gens}))
+    code, out, err = run(capsys, ["check", str(instance)])
+    assert code == 3
+    assert err == ""
+    assert out.startswith(f"check: {instance}\nkind: ideal\n")
+    assert "reg=skipped (char 0)" in out
+    assert f"euler_consistency: skipped ({detail})" in out
+    assert out.endswith("result: 1 pass, 0 fail, 9 n/a, 1 skipped\n")
+    code, _, err = run(capsys, ["reg", str(instance)])
+    assert code == 3
+    assert err == f"guard: {detail}\n"
+
+
+def test_parser_built_once_across_calls(in_repo_root, capsys, monkeypatch):
+    build = cli.build_parser.__wrapped__
+    builds = []
+
+    @functools.cache
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv, golden in [
+        (["check", H0], "check_chain_n4_s3.txt"),
+        (["check", H1], "check_chain_n3_s2.txt"),
+        (["betti", MIXED], "betti_mixed_ideal_n3.txt"),
+    ]:
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == (in_repo_root / "fixtures/golden" / golden).read_text()
+    assert builds == [1]
 
 
 def test_gen_infeasible(in_repo_root, capsys):

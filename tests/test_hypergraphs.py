@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperideal import hypergraphs
 from hyperideal.hypergraphs import (
     build_hypergraph,
     canonical_vertex_order,
@@ -176,3 +177,18 @@ def test_restricted_dual_drops_edge_free_vertices():
     assert restricted.n == dual.n == 3
     assert restricted.edges == (frozenset({1, 2}), frozenset({1, 2, 3}))
     assert [c.n for c in comps] == [3, 3]
+
+
+def test_restricted_dual_orders_vertices_once(monkeypatch):
+    h = build_hypergraph(5, 1, [frozenset({2, 4}), frozenset({2, 3, 4})])
+    dual, comps = special_dual(h)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_vertex_order(g)
+
+    monkeypatch.setattr(hypergraphs, "canonical_vertex_order", counted)
+    restricted, _, _ = restricted_dual(h, dual, comps)
+    assert calls == [h]
+    assert restricted.n == 3

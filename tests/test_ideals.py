@@ -14,13 +14,20 @@ from hyperideal.ideals import (
     intersect_components,
     irredundant_filter,
     minimal_generators,
-    vector_complement,
 )
 from hyperideal.monomials import Monomial, compositions
 
 
 def ideal_of(n, *vectors):
     return MonomialIdeal.from_exponents(n, vectors)
+
+
+def component_ideal(comp):
+    """The validated pure-power ideal of an irreducible component."""
+    return MonomialIdeal(
+        comp.n,
+        (Monomial.variable(i, comp.n, p) for i, p in enumerate(comp.powers, start=1) if p),
+    )
 
 
 def intersect(a, b):
@@ -225,13 +232,12 @@ def test_deg_max_index_support():
     assert ideal.support() == frozenset({1, 2, 3})
 
 
-def test_vector_complement():
-    assert vector_complement((3, 3, 2, 1), (3, 3, 0, 0)) == (1, 1, 0, 0)
-    assert vector_complement((3, 3, 2, 1), (1, 1, 1, 1)) == (3, 3, 2, 1)
-    with pytest.raises(ValueError):
-        vector_complement((1, 1), (2, 0))
-    with pytest.raises(ValueError):
-        vector_complement((1, 1), (1, 1, 1))
+def test_dual_components_complement_generators():
+    ideal = ideal_of(4, (3, 3, 0, 0), (1, 1, 1, 1))
+    comps = dual_components(ideal, (3, 3, 2, 1))
+    assert [c.powers for c in comps] == [(3, 3, 2, 1), (1, 1, 0, 0)]
+    with pytest.raises(ValueError, match="length"):
+        dual_components(ideal_of(2, (1, 1)), (1, 1, 1))
 
 
 def test_irreducible_component_validation():
@@ -312,8 +318,15 @@ def test_irredundant_filter_matches_restart_scan(components):
 @given(components_lists())
 @settings(max_examples=80)
 def test_intersect_components_matches_pairwise_lcm(components):
-    reference = reduce(intersect, (c.as_ideal() for c in components))
+    reference = reduce(intersect, map(component_ideal, components))
     assert intersect_components(components) == reference
+
+
+@given(components_lists())
+@settings(max_examples=80)
+def test_component_str_matches_pure_power_ideal(components):
+    for comp in components:
+        assert str(comp) == str(component_ideal(comp))
 
 
 def test_intersect_components_rejects_mixed_ambients():

@@ -234,3 +234,5 @@ def test_pure_power_hypothesis_errors():
         pure_power_truncation_stable((1, 0))
     with pytest.raises(ValueError, match="leading exponent"):
         pure_power_truncation_stable((3, 1))
+    with pytest.raises(ValueError, match="integers"):
+        pure_power_truncation_stable((2.0, 1, 1))
