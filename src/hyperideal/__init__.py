@@ -22,7 +22,6 @@ from .ideals import (
     dual_components,
     intersect_components,
     irredundant_filter,
-    minimal_generators,
 )
 from .monomials import Monomial, compositions
 from .stability import (
@@ -64,7 +63,6 @@ __all__ = [
     "is_stable_exhaustive",
     "lcm_lattice",
     "matrix_rank",
-    "minimal_generators",
     "pure_power_truncation_stable",
     "q_bound",
     "random_instance",

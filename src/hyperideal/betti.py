@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, compress
 from operator import lt
 
-from .homology import GuardError, SimplicialComplex, validate_characteristic
+from .homology import GuardError, SimplicialComplex, guard_ground_set, validate_characteristic
 from .ideals import MonomialIdeal
 from .monomials import Monomial, canonical_sorted, divides_any
 
@@ -72,11 +72,15 @@ def _is_cone(facets: list[tuple[int, ...]]) -> bool:
 def koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     """Simplicial complex on the support of b whose faces are the subsets
     one can subtract from b (one unit per chosen variable) while staying
-    inside the ideal.  Void when b itself lies outside the ideal."""
+    inside the ideal.  Void when b itself lies outside the ideal; a
+    non-void one on too wide a support is refused before any face is
+    listed."""
     if b.n != ideal.n:
         raise ValueError("ambient dimension mismatch")
     support = tuple(sorted(b.support()))
     facets = _koszul_facets([g.exponents for g in ideal.gens], b.exponents)
+    if facets:
+        guard_ground_set(len(support))
     faces = {c for f in facets for size in range(len(f) + 1) for c in combinations(f, size)}
     return SimplicialComplex._trusted(support, frozenset(map(frozenset, faces)))
 
@@ -89,14 +93,13 @@ class BettiTable:
     char: int
     entries: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
 
-    def total(self, i: int) -> int:
-        return sum(v for (j, _), v in self.entries.items() if j == i)
-
     def totals(self) -> tuple[int, ...]:
         if not self.entries:
             return ()
-        top = max(i for i, _ in self.entries)
-        return tuple(self.total(i) for i in range(top + 1))
+        sums = [0] * (max(i for i, _ in self.entries) + 1)
+        for (i, _), v in self.entries.items():
+            sums[i] += v
+        return tuple(sums)
 
     def regularity(self) -> int:
         if not self.entries:

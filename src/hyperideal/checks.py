@@ -23,7 +23,6 @@ from .hypergraphs import (
 from .ideals import (
     MonomialIdeal,
     alexander_dual,
-    dual_components,
     irredundant_filter,
 )
 from .monomials import Monomial

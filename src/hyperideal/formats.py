@@ -84,21 +84,9 @@ def load_path(path: str) -> InputObject:
     return parse_input(text, source=path)
 
 
-def hypergraph_to_dict(h: IncreasingHypergraph) -> dict:
-    return {
-        "n": h.n,
-        "d": h.d,
-        "edges": [sorted(e) for e in h.edges],
-    }
-
-
-def ideal_to_dict(ideal: MonomialIdeal) -> dict:
-    return {"n": ideal.n, "gens": [list(g.exponents) for g in ideal.gens]}
-
-
 def dump_input(obj: InputObject) -> str:
     if isinstance(obj, IncreasingHypergraph):
-        data = hypergraph_to_dict(obj)
+        data = {"n": obj.n, "d": obj.d, "edges": [sorted(e) for e in obj.edges]}
     else:
-        data = ideal_to_dict(obj)
+        data = {"n": obj.n, "gens": [list(g.exponents) for g in obj.gens]}
     return json.dumps(data, indent=2) + "\n"

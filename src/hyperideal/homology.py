@@ -19,6 +19,15 @@ class GuardError(RuntimeError):
     """Raised when an input exceeds the desk-scale guards."""
 
 
+def guard_ground_set(size: int) -> None:
+    """Refuse homology over a ground set larger than MAX_GROUND_VERTICES;
+    callers building a complex ask before listing its faces."""
+    if size > MAX_GROUND_VERTICES:
+        raise GuardError(
+            f"ground set of size {size} exceeds the desk-scale limit {MAX_GROUND_VERTICES}"
+        )
+
+
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below this bound (Sorenson and Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -169,11 +178,7 @@ class SimplicialComplex:
         validate_characteristic(char)
         if self.is_void:
             return ()
-        if len(self.vertices) > MAX_GROUND_VERTICES:
-            raise GuardError(
-                f"ground set of size {len(self.vertices)} exceeds the "
-                f"desk-scale limit {MAX_GROUND_VERTICES}"
-            )
+        guard_ground_set(len(self.vertices))
         by_dim = self._faces_by_dim()
         top = max(by_dim)
         counts = {k: len(by_dim.get(k, [])) for k in range(-1, top + 1)}

@@ -131,13 +131,9 @@ def canonical_vertex_order(
             new_of_old[old - 1] = nxt
             nxt += 1
     perm = tuple(new_of_old)
-    new_edges = [frozenset(perm[v - 1] for v in edge) for edge in h.edges]
-    return build_hypergraph(h.n, h.d, new_edges), perm
-
-
-def is_canonical(h: IncreasingHypergraph) -> bool:
-    _, perm = canonical_vertex_order(h)
-    return perm == tuple(range(1, h.n + 1))
+    # A relabeling of a validated chain is a valid chain.
+    new_edges = tuple(frozenset(perm[v - 1] for v in edge) for edge in h.edges)
+    return IncreasingHypergraph(h.n, h.d, new_edges), perm
 
 
 def covered_restriction(h: IncreasingHypergraph) -> IncreasingHypergraph:
@@ -146,7 +142,7 @@ def covered_restriction(h: IncreasingHypergraph) -> IncreasingHypergraph:
     After canonical reordering the covered vertices are exactly 1..r with
     r the size of the last edge, so restriction just shrinks the ambient.
     """
-    if not is_canonical(h):
+    if canonical_vertex_order(h)[1] != tuple(range(1, h.n + 1)):
         raise ValueError("restriction requires a canonically ordered hypergraph")
     r = len(h.edges[-1])
     if r == h.n:

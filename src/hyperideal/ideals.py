@@ -79,12 +79,6 @@ def _degree_members(
     return members
 
 
-def minimal_generators(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Drop every monomial strictly divisible by another in the set, and
-    return the rest deduplicated in canonical order."""
-    return tuple(map(Monomial._trusted, _minimize(g.exponents for g in gens)))
-
-
 class MonomialIdeal:
     """A monomial ideal in n variables, stored minimized and sorted.
 
@@ -124,14 +118,6 @@ class MonomialIdeal:
     @classmethod
     def from_exponents(cls, n: int, vectors: Iterable[Sequence[int]]) -> MonomialIdeal:
         return cls(n, (Monomial(tuple(v)) for v in vectors))
-
-    @classmethod
-    def zero(cls, n: int) -> MonomialIdeal:
-        return cls(n, ())
-
-    @classmethod
-    def unit_ideal(cls, n: int) -> MonomialIdeal:
-        return cls(n, (Monomial.unit(n),))
 
     @property
     def is_zero(self) -> bool:
@@ -203,9 +189,6 @@ class MonomialIdeal:
         if self.is_zero or self.is_unit:
             raise ValueError("max index undefined for the zero and unit ideals")
         return max(g.max_index() for g in self.gens)
-
-    def support(self) -> frozenset[int]:
-        return frozenset().union(*(g.support() for g in self.gens)) if self.gens else frozenset()
 
 
 @dataclass(frozen=True)

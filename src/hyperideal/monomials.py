@@ -4,19 +4,19 @@ Exponents are plain Python integers, so there is no overflow to guard
 against; every derived quantity (degree, bound, Betti number) is an exact
 combinatorial integer.
 
-Kernel contract: the public constructors (``Monomial(...)``, ``of``,
-``unit``, ``variable``) validate their input, and so do the public
-operations that combine two monomials (ambient dimensions must match).
-Values the package derives from already validated values (lcms, products,
-stability shifts, truncation candidates, intersections, lattice joins)
-are built through :meth:`Monomial._trusted` without re-checks, and
-membership is decided on raw exponent tuples by :func:`divides_any`.
+Kernel contract: the public constructors (``Monomial(...)``, ``of``)
+validate their input, and :meth:`Monomial.divides` checks that the
+ambient dimensions match.  Values the package derives from already
+validated values (stability shifts, truncation candidates, intersections,
+lattice joins) are built through :meth:`Monomial._trusted` without
+re-checks, and membership is decided on raw exponent tuples by
+:func:`divides_any`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, gt
+from operator import gt
 from typing import Iterable
 
 
@@ -25,9 +25,9 @@ class Monomial:
     """A monomial x1^e1 * ... * xn^en stored as its exponent vector.
 
     The ambient dimension is ``len(exponents)``.  The unit monomial (all
-    zeros) is a valid value: it is the identity for :meth:`lcm` and it
-    divides everything.  Operations that are undefined on the unit
-    monomial, such as :meth:`max_index`, raise ``ValueError``.
+    zeros) is a valid value: it divides everything.  Operations that are
+    undefined on the unit monomial, such as :meth:`max_index`, raise
+    ``ValueError``.
     """
 
     exponents: tuple[int, ...]
@@ -53,17 +53,6 @@ class Monomial:
     def of(cls, *exponents: int) -> Monomial:
         return cls(tuple(exponents))
 
-    @classmethod
-    def unit(cls, n: int) -> Monomial:
-        return cls((0,) * n)
-
-    @classmethod
-    def variable(cls, i: int, n: int, power: int = 1) -> Monomial:
-        """The pure power x_i^power in ambient dimension n (1-based i)."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        return cls(tuple(power if k == i - 1 else 0 for k in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.exponents)
@@ -75,23 +64,11 @@ class Monomial:
         """Total degree: the sum of the exponents."""
         return sum(self.exponents)
 
-    def _require_same_ambient(self, other: Monomial) -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-
     def divides(self, other: Monomial) -> bool:
         """Componentwise order: true iff self_i <= other_i for every i."""
-        self._require_same_ambient(other)
+        if self.n != other.n:
+            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
         return divides_any((self.exponents,), other.exponents)
-
-    def lcm(self, other: Monomial) -> Monomial:
-        """Componentwise maximum."""
-        self._require_same_ambient(other)
-        return Monomial._trusted(tuple(map(max, self.exponents, other.exponents)))
-
-    def times(self, other: Monomial) -> Monomial:
-        self._require_same_ambient(other)
-        return Monomial._trusted(tuple(map(add, self.exponents, other.exponents)))
 
     def support(self) -> frozenset[int]:
         """1-based indices of the variables that occur."""
@@ -122,11 +99,6 @@ class Monomial:
         exps[m - 1] -= 1
         return Monomial._trusted(tuple(exps))
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Key for the canonical order: degree ascending, then lexicographically
-        descending on the exponent vector (so x1^2 sorts before x2^2)."""
-        return (self.degree(), tuple(-e for e in self.exponents))
-
     def __str__(self) -> str:
         if self.is_unit():
             return "1"
@@ -153,9 +125,9 @@ def divides_any(gens: Iterable[tuple[int, ...]], u: tuple[int, ...]) -> bool:
 
 
 def canonical_sorted(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Distinct exponent tuples in the canonical order of
-    :meth:`Monomial.sort_key`: degree ascending, lexicographically
-    descending within a degree."""
+    """Distinct exponent tuples in the canonical order: degree ascending,
+    lexicographically descending within a degree (so x1^2 sorts before
+    x2^2)."""
     ordered = sorted(set(exps), reverse=True)
     ordered.sort(key=sum)
     return ordered
@@ -164,8 +136,8 @@ def canonical_sorted(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def compositions(total: int, parts: int):
     """Yield all tuples of ``parts`` nonnegative integers summing to ``total``.
 
-    Deterministic (lexicographic from the left, largest first coordinate
-    first is *not* guaranteed; the order is first coordinate descending).
+    Deterministic: lexicographically descending, so the first coordinate
+    runs from ``total`` down to 0.
     """
     if parts == 1:
         yield (total,)

@@ -76,7 +76,7 @@ def betti_entries_at_every_point(ideal, char):
 @given(wider_ideals(), st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4))
 @settings(max_examples=60)
 def test_koszul_complex_matches_frontier_builder(ideal, extra):
-    points = lcm_lattice(ideal) + [Monomial(tuple(extra[: ideal.n])), Monomial.unit(ideal.n)]
+    points = lcm_lattice(ideal) + [Monomial(tuple(extra[: ideal.n])), Monomial((0,) * ideal.n)]
     for b in points:
         built = koszul_complex(ideal, b)
         reference = koszul_by_frontier(ideal, b)
@@ -112,7 +112,7 @@ def test_lcm_lattice_of_mixed_ideal():
     points = {m.exponents for m in lattice}
     for u in lattice:
         for v in lattice:
-            assert u.lcm(v).exponents in points
+            assert tuple(map(max, u.exponents, v.exponents)) in points
 
 
 def test_lcm_lattice_guard():
@@ -122,12 +122,23 @@ def test_lcm_lattice_guard():
     with pytest.raises(GuardError):
         lcm_lattice(big)
     with pytest.raises(ValueError):
-        lcm_lattice(MonomialIdeal.zero(2))
+        lcm_lattice(MonomialIdeal(2))
 
 
 def test_koszul_complex_void_outside_ideal():
     k = koszul_complex(MIXED, Monomial.of(1, 1, 0))
     assert k.is_void
+
+
+def test_koszul_complex_refuses_wide_support():
+    # x1*...*x12 + x13*...*x24: K^b at the top point would list 2^13 faces.
+    wide = MonomialIdeal.from_exponents(24, [(1,) * 12 + (0,) * 12, (0,) * 12 + (1,) * 12])
+    top = lcm_lattice(wide)[-1]
+    assert top.exponents == (1,) * 24
+    with pytest.raises(GuardError, match="^ground set of size 24 exceeds the desk-scale limit 20$"):
+        koszul_complex(wide, top)
+    # Outside the ideal the complex is void, however wide its support.
+    assert koszul_complex(wide, Monomial((1,) * 11 + (0,) + (1,) * 11 + (0,))).is_void
 
 
 def test_koszul_complex_two_isolated_vertices():
@@ -198,14 +209,12 @@ def _signed_counts_by_enumeration(ideal):
     from itertools import combinations
 
     counts = {}
-    gens = ideal.gens
+    gens = [g.exponents for g in ideal.gens]
     for size in range(1, len(gens) + 1):
         sign = 1 if size % 2 == 1 else -1
         for subset in combinations(gens, size):
-            point = subset[0]
-            for g in subset[1:]:
-                point = point.lcm(g)
-            counts[point.exponents] = counts.get(point.exponents, 0) + sign
+            point = tuple(map(max, zip(*subset)))
+            counts[point] = counts.get(point, 0) + sign
     return {b: v for b, v in counts.items() if v != 0}
 
 

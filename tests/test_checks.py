@@ -93,9 +93,9 @@ def test_ideal_checks_mark_hypergraph_claims_na():
 
 def test_ideal_checks_reject_trivial_ideals():
     with pytest.raises(ValueError):
-        run_ideal_checks(MonomialIdeal.zero(2))
+        run_ideal_checks(MonomialIdeal(2))
     with pytest.raises(ValueError):
-        run_ideal_checks(MonomialIdeal.unit_ideal(2))
+        run_ideal_checks(MonomialIdeal.from_exponents(2, [(0, 0)]))
 
 
 def test_bench_row_shape():

@@ -9,7 +9,6 @@ from hyperideal.hypergraphs import (
     containment_vector,
     covered_restriction,
     inclusion_ideal,
-    is_canonical,
     random_instance,
     restricted_dual,
     special_dual,
@@ -99,8 +98,7 @@ def test_canonical_order_sorts_blocks():
     canonical, perm = canonical_vertex_order(h)
     assert canonical.edges == chain4().edges
     assert perm == (4, 3, 1, 2)
-    assert is_canonical(canonical)
-    assert not is_canonical(h)
+    assert canonical_vertex_order(canonical) == (canonical, (1, 2, 3, 4))
 
 
 def test_canonical_order_preserves_containment_multiset():
@@ -192,3 +190,17 @@ def test_restricted_dual_orders_vertices_once(monkeypatch):
     restricted, _, _ = restricted_dual(h, dual, comps)
     assert calls == [h]
     assert restricted.n == 3
+
+
+def test_restricted_dual_does_not_revalidate(monkeypatch):
+    h = build_hypergraph(5, 1, [frozenset({2, 4}), frozenset({2, 3, 4})])
+    expected = restricted_dual(h, *special_dual(h))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_hypergraph(*args)
+
+    monkeypatch.setattr(hypergraphs, "build_hypergraph", counted)
+    assert restricted_dual(h, *special_dual(h)) == expected
+    assert calls == []
