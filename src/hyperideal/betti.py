@@ -4,13 +4,17 @@ The Betti number in homological index i and multidegree b equals the
 dimension of reduced homology in degree i-1 of the Koszul complex at b,
 so every value here comes from exact rank computations rather than from
 any resolution heuristic.  Nonzero values only occur at points of the
-lcm lattice of the generators, which keeps the search finite.
+lcm lattice of the generators, which keeps the search finite.  Each
+Koszul complex is built from its facets, at most one per generator
+dividing x^b, and handed to the homology module as such: its reduced
+homology is then ranked on the complex or on the nerve of its facets,
+whichever side has fewer vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import compress
 from operator import lt
 
 from .homology import GuardError, SimplicialComplex, guard_ground_set, validate_characteristic
@@ -69,20 +73,23 @@ def _is_cone(facets: list[tuple[int, ...]]) -> bool:
     return bool(facets) and bool(set(facets[0]).intersection(*facets[1:]))
 
 
-def koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
+def koszul_complex(
+    ideal: MonomialIdeal, b: Monomial, *, facets: list[tuple[int, ...]] | None = None
+) -> SimplicialComplex:
     """Simplicial complex on the support of b whose faces are the subsets
     one can subtract from b (one unit per chosen variable) while staying
-    inside the ideal.  Void when b itself lies outside the ideal; a
-    non-void one on too wide a support is refused before any face is
-    listed."""
+    inside the ideal.  It is built from its facets, given or computed by
+    ``_koszul_facets``, and lists no face until asked.  Void when b itself
+    lies outside the ideal; a non-void one on too wide a support is
+    refused."""
     if b.n != ideal.n:
         raise ValueError("ambient dimension mismatch")
     support = tuple(sorted(b.support()))
-    facets = _koszul_facets([g.exponents for g in ideal.gens], b.exponents)
+    if facets is None:
+        facets = _koszul_facets([g.exponents for g in ideal.gens], b.exponents)
     if facets:
         guard_ground_set(len(support))
-    faces = {c for f in facets for size in range(len(f) + 1) for c in combinations(f, size)}
-    return SimplicialComplex._trusted(support, frozenset(map(frozenset, faces)))
+    return SimplicialComplex._from_facets(support, tuple(facets))
 
 
 @dataclass(frozen=True)
@@ -130,10 +137,11 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     gens = [g.exponents for g in ideal.gens]
     for b in lcm_lattice(ideal):
+        facets = _koszul_facets(gens, b.exponents)
         # A cone has no reduced homology, so it contributes no entry.
-        if _is_cone(_koszul_facets(gens, b.exponents)):
+        if _is_cone(facets):
             continue
-        complex_at_b = koszul_complex(ideal, b)
+        complex_at_b = koszul_complex(ideal, b, facets=facets)
         dims = complex_at_b.reduced_homology_dims(char)
         for offset, dim in enumerate(dims):
             if dim:

@@ -3,6 +3,12 @@
 Boundary-matrix ranks come from one sparse row reduction: over a prime
 field every entry is reduced mod p, over Q each row is kept integral and
 divided by the gcd of its entries; there is no floating point anywhere.
+
+A complex is kept as its facets and ranked on the smaller side of its
+vertex-facet incidence: on its own faces, or on the nerve of its facets
+when there are fewer facets than ground vertices.  Dowker's theorem
+(Dowker 1952; Bjorner, Topological methods, 1995) gives both the same
+reduced homology over every field.
 """
 
 from __future__ import annotations
@@ -116,12 +122,14 @@ def matrix_rank(rows: Sequence[Sequence[int]], char: int = 0) -> int:
 class SimplicialComplex:
     """Finite abstract simplicial complex on integer vertex labels.
 
-    The void complex (no faces at all) and the irrelevant complex (only
-    the empty face) are distinct states: the first has no homology in any
-    degree, the second has one dimension in degree -1.
+    The complex keeps its facets (maximal faces, as sorted vertex tuples)
+    and lists its faces only when asked.  The void complex (no faces at
+    all) and the irrelevant complex (only the empty face) are distinct
+    states: the first has no facet and no homology in any degree, the
+    second has the empty facet and one dimension in degree -1.
     """
 
-    __slots__ = ("vertices", "faces")
+    __slots__ = ("vertices", "facets", "_faces")
 
     def __init__(self, vertices: Iterable[int], faces: Iterable[frozenset[int]]):
         vertices = tuple(sorted(set(vertices)))
@@ -135,19 +143,32 @@ class SimplicialComplex:
                     raise ValueError(
                         f"not downward closed: {sorted(f - {v})} missing below {sorted(f)}"
                     )
+        self._set(vertices, _maximal(vertices, faces), faces)
+
+    def _set(self, vertices, facets, faces) -> None:
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "_faces", faces)
 
     @classmethod
     def _trusted(
         cls, vertices: tuple[int, ...], faces: frozenset[frozenset[int]]
     ) -> SimplicialComplex:
         """A complex the package built downward closed on sorted distinct
-        vertices (a Koszul complex); the closure and ground-set checks are
-        skipped."""
+        vertices; the closure and ground-set checks are skipped."""
         complex_ = object.__new__(cls)
-        object.__setattr__(complex_, "vertices", vertices)
-        object.__setattr__(complex_, "faces", faces)
+        complex_._set(vertices, _maximal(vertices, faces), faces)
+        return complex_
+
+    @classmethod
+    def _from_facets(
+        cls, vertices: tuple[int, ...], facets: tuple[tuple[int, ...], ...]
+    ) -> SimplicialComplex:
+        """A complex the package knows by its maximal faces, given as sorted
+        tuples of the sorted distinct vertices (a Koszul complex); its
+        faces are listed on first access."""
+        complex_ = object.__new__(cls)
+        complex_._set(vertices, facets, None)
         return complex_
 
     def __setattr__(self, name, value):
@@ -158,36 +179,80 @@ class SimplicialComplex:
         return cls(vertices, ())
 
     @property
+    def faces(self) -> frozenset[frozenset[int]]:
+        if self._faces is None:
+            object.__setattr__(self, "_faces", frozenset(map(frozenset, _closure(self.facets))))
+        return self._faces
+
+    @property
     def is_void(self) -> bool:
-        return not self.faces
+        return not self.facets
 
     def _faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for f in self.faces:
-            by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-        for lst in by_dim.values():
-            lst.sort()
-        return by_dim
+        return _by_dim(_closure(self.facets))
 
     def reduced_homology_dims(self, char: int = 0) -> tuple[int, ...]:
-        """Dimensions of reduced homology, indexed from degree -1 upward.
+        """Dimensions of reduced homology, indexed from degree -1 upward,
+        one entry per degree up to the top facet's dimension.
 
         Entry 0 of the result is the degree -1 homology; a void complex
-        returns an empty tuple.
+        returns an empty tuple.  With fewer facets than ground vertices
+        the ranks are taken on the nerve of the facets instead: the
+        complex on facet labels 1..k generated by the vertex stars
+        {j : v in F_j}.  By Dowker's theorem it has the same reduced
+        homology over every field.
         """
         validate_characteristic(char)
-        if self.is_void:
+        facets = self.facets
+        if not facets:
             return ()
         guard_ground_set(len(self.vertices))
-        by_dim = self._faces_by_dim()
+        if len(facets) < len(self.vertices):
+            stars: dict[int, list[int]] = {}
+            for j, facet in enumerate(facets, 1):
+                for v in facet:
+                    stars.setdefault(v, []).append(j)
+            # The empty face is listed apart: no star holds it when no
+            # vertex lies in a facet (the irrelevant complex).
+            by_dim = _by_dim(_closure([(), *stars.values()]))
+        else:
+            by_dim = self._faces_by_dim()
         top = max(by_dim)
         counts = {k: len(by_dim.get(k, [])) for k in range(-1, top + 1)}
         ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(0, top + 1)}
         ranks[-1] = 0
         ranks[top + 1] = 0
-        return tuple(
-            counts[k] - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)
+        dims = [counts[k] - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)]
+        width = max(map(len, facets)) + 1
+        return tuple(dims[:width]) + (0,) * (width - len(dims))
+
+
+def _maximal(
+    vertices: tuple[int, ...], faces: frozenset[frozenset[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The faces of a downward-closed set that no one-vertex extension
+    keeps inside it, as sorted vertex tuples."""
+    return tuple(
+        sorted(
+            tuple(sorted(f))
+            for f in faces
+            if not any(v not in f and f | {v} in faces for v in vertices)
         )
+    )
+
+
+def _closure(generators: Iterable[Sequence[int]]) -> set[tuple[int, ...]]:
+    """Every subset of every generator, as tuples in the generators' order."""
+    return {c for g in generators for size in range(len(g) + 1) for c in combinations(g, size)}
+
+
+def _by_dim(faces: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    for lst in by_dim.values():
+        lst.sort()
+    return by_dim
 
 
 def _boundary_matrix(by_dim: dict[int, list[tuple[int, ...]]], k: int) -> list[list[int]]:

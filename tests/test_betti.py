@@ -15,6 +15,7 @@ from hyperideal.betti import (
 from hyperideal.homology import GuardError, SimplicialComplex
 from hyperideal.ideals import MonomialIdeal
 from hyperideal.monomials import Monomial
+from test_homology import reference_reduced_homology
 
 MIXED = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)])
 
@@ -33,6 +34,28 @@ def small_ideals(n_max=3, e_max=2, max_gens=4):
 
 def wider_ideals():
     return small_ideals(n_max=4, e_max=3, max_gens=5)
+
+
+def has_nerve_side_point(ideal):
+    """True when some lattice point is no cone and its Koszul complex has
+    at least 2 facets, fewer than its vertices: its homology is then taken
+    on the nerve."""
+    gens = [g.exponents for g in ideal.gens]
+    for b in lcm_lattice(ideal):
+        facets = _koszul_facets(gens, b.exponents)
+        if 2 <= len(facets) < len(b.support()) and not _is_cone(facets):
+            return True
+    return False
+
+
+def nerve_side_ideals():
+    return st.integers(min_value=3, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n),
+            min_size=2,
+            max_size=6,
+        ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
+    ).filter(has_nerve_side_point)
 
 
 def koszul_by_frontier(ideal, b):
@@ -63,10 +86,10 @@ def koszul_by_frontier(ideal, b):
 
 def betti_entries_at_every_point(ideal, char):
     """Reference table: reduced homology of the reference Koszul complex at
-    every lattice point, cones included."""
+    every lattice point, cones included, computed from its listed faces."""
     entries = {}
     for b in lcm_lattice(ideal):
-        dims = koszul_by_frontier(ideal, b).reduced_homology_dims(char)
+        dims = reference_reduced_homology(koszul_by_frontier(ideal, b).faces, char)
         for offset, dim in enumerate(dims):
             if dim:
                 entries[(offset, b.exponents)] = dim
@@ -103,6 +126,13 @@ def test_koszul_facets_are_maximal_and_detect_cones(ideal):
 @settings(max_examples=40)
 def test_cone_skipping_matches_every_point(ideal):
     for char in (0, 2):
+        assert betti_table(ideal, char).entries == betti_entries_at_every_point(ideal, char)
+
+
+@given(nerve_side_ideals())
+@settings(max_examples=60)
+def test_nerve_side_tables_match_reference(ideal):
+    for char in (0, 2, 3):
         assert betti_table(ideal, char).entries == betti_entries_at_every_point(ideal, char)
 
 

@@ -166,6 +166,17 @@ def test_reg_command(in_repo_root, capsys):
     assert out == "reg=3 (char 0)\n"
 
 
+def test_reg_on_four_disjoint_quintics(tmp_path, capsys):
+    # x1*...*x5 + ... + x16*...*x20: K^b at the top point has 4 facets of
+    # 15 vertices each, so its homology is taken on the 4-vertex nerve.
+    # A complete intersection: reg = 4*5 - (4 - 1).
+    instance = tmp_path / "quintics.json"
+    gens = [[int(5 * k <= i < 5 * k + 5) for i in range(20)] for k in range(4)]
+    instance.write_text(json.dumps({"n": 20, "gens": gens}))
+    code, out, err = run(capsys, ["reg", str(instance)])
+    assert (code, out, err) == (0, "reg=17 (char 0)\n", "")
+
+
 def test_dual_golden(in_repo_root, capsys):
     code, out, _ = run(capsys, ["dual", H0])
     assert code == 0

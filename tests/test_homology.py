@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperideal import homology
 from hyperideal.homology import (
     MAX_CHARACTERISTIC,
     GuardError,
@@ -68,6 +69,30 @@ def rank_mod_p(rows, p):
     return rank
 
 
+def reference_reduced_homology(faces, char):
+    """Reduced homology dimensions from the listed faces, one entry per
+    degree from -1 to the top face's dimension, () for no faces at all.
+    Dense boundary matrices built here are ranked by the two reference
+    eliminations above, so nothing of the package's homology is used."""
+    by_size = {}
+    for f in sorted({tuple(sorted(f)) for f in faces}):
+        by_size.setdefault(len(f), []).append(f)
+    if not by_size:
+        return ()
+    top = max(by_size)
+    ranks = [0] * (top + 2)
+    for size in range(1, top + 1):
+        index = {f: i for i, f in enumerate(by_size.get(size - 1, []))}
+        rows = [[0] * len(by_size.get(size, [])) for _ in index]
+        for j, f in enumerate(by_size.get(size, [])):
+            for pos in range(size):
+                rows[index[f[:pos] + f[pos + 1 :]]][j] = (-1) ** pos
+        ranks[size] = rank_mod_p(rows, char) if char else rank_over_rationals(rows)
+    return tuple(
+        len(by_size.get(size, [])) - ranks[size] - ranks[size + 1] for size in range(top + 1)
+    )
+
+
 def complex_of(vertices, maximal_faces):
     faces = set()
     for mf in maximal_faces:
@@ -119,6 +144,24 @@ def random_complexes(draw):
 
 PRIMES = (2, 3, 5, 2**61 - 1)
 
+# Up to 8 ground vertices, some of them in no facet, and up to 9 facets;
+# the empty list is the void complex and [set()] the irrelevant one.
+facet_lists = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sets(st.integers(min_value=1, max_value=max(n, 1)), max_size=n), max_size=9)
+        | st.sampled_from([[], [set()]]),
+    )
+)
+
+
+def maximal_sets(sets):
+    kept = []
+    for s in sorted(map(frozenset, sets), key=len, reverse=True):
+        if not any(s <= k for k in kept):
+            kept.append(s)
+    return kept
+
 
 def test_characteristic_validation():
     for ok in (0, 2, 3, 5, 13, 2**61 - 1, 1000000000000000003):
@@ -147,15 +190,60 @@ def test_characteristic_validation_matches_sieve():
         assert accepted == (not composite[k]), k
 
 
-def test_characteristic_checked_once_per_homology_call():
+def test_characteristic_checked_once_per_homology_call(monkeypatch):
     # reduced_homology_dims and each of its rank calls validate the
     # characteristic; Miller-Rabin runs once.
     p = 1000000000000000003
     complex_ = complex_of(range(1, 5), [(1, 2, 3), (3, 4), (2, 4)])
+    chars = []
+    original = homology.matrix_rank
+
+    def counting_rank(rows, char=0):
+        chars.append(char)
+        return original(rows, char)
+
+    monkeypatch.setattr(homology, "matrix_rank", counting_rank)
     _is_prime.cache_clear()
     assert complex_.reduced_homology_dims(p) == complex_.reduced_homology_dims(0)
     info = _is_prime.cache_info()
-    assert info.misses <= 1 and info.hits >= 3
+    assert info.misses <= 1 and info.hits == chars.count(p)
+
+
+def test_reduced_homology_matches_reference_on_both_sides(monkeypatch):
+    # The side is told by a spy: only the complex's own side lists its
+    # faces by dimension.
+    sides = set()
+    listed = []
+    original = SimplicialComplex._faces_by_dim
+
+    def spy(self):
+        listed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SimplicialComplex, "_faces_by_dim", spy)
+
+    @given(facet_lists)
+    @settings(max_examples=150)
+    def check(drawn):
+        n, sets = drawn
+        facets = maximal_sets(sets)
+        vertices = tuple(range(1, n + 1))
+        validated = complex_of(vertices, facets)
+        built = SimplicialComplex._from_facets(vertices, tuple(tuple(sorted(f)) for f in facets))
+        assert built.faces == validated.faces
+        assert sorted(built.facets) == sorted(validated.facets)
+        for char in (0, 2, 3):
+            expected = reference_reduced_homology(validated.faces, char)
+            listed.clear()
+            assert built.reduced_homology_dims(char) == expected, char
+            assert validated.reduced_homology_dims(char) == expected, char
+            if facets:
+                nerve = len(listed) == 0
+                assert nerve == (len(facets) < n)
+                sides.add(nerve)
+
+    check()
+    assert sides == {True, False}
 
 
 @given(st.one_of(matrices, wide_matrices))
