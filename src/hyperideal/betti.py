@@ -8,7 +8,7 @@ lcm lattice of the generators, which keeps the search finite.  Each
 Koszul complex is built from its facets, at most one per generator
 dividing x^b, and handed to the homology module as such: its reduced
 homology is then ranked on the complex or on the nerve of its facets,
-whichever side has fewer vertices.
+whichever side bounds fewer faces.
 """
 
 from __future__ import annotations
@@ -74,19 +74,17 @@ def _is_cone(facets: list[tuple[int, ...]]) -> bool:
 
 
 def koszul_complex(
-    ideal: MonomialIdeal, b: Monomial, *, facets: list[tuple[int, ...]] | None = None
+    ideal: MonomialIdeal, b: Monomial, *, facets: list[tuple[int, ...]]
 ) -> SimplicialComplex:
     """Simplicial complex on the support of b whose faces are the subsets
     one can subtract from b (one unit per chosen variable) while staying
-    inside the ideal.  It is built from its facets, given or computed by
-    ``_koszul_facets``, and lists no face until asked.  Void when b itself
-    lies outside the ideal; a non-void one on too wide a support is
-    refused."""
+    inside the ideal.  It is built from ``facets``, the list
+    ``_koszul_facets`` gives for the ideal's generators at b, and lists no
+    face until asked.  Void when b itself lies outside the ideal; a
+    non-void one on too wide a support is refused."""
     if b.n != ideal.n:
         raise ValueError("ambient dimension mismatch")
     support = tuple(sorted(b.support()))
-    if facets is None:
-        facets = _koszul_facets([g.exponents for g in ideal.gens], b.exponents)
     if facets:
         guard_ground_set(len(support))
     return SimplicialComplex._from_facets(support, tuple(facets))

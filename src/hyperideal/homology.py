@@ -5,10 +5,12 @@ field every entry is reduced mod p, over Q each row is kept integral and
 divided by the gcd of its entries; there is no floating point anywhere.
 
 A complex is kept as its facets and ranked on the smaller side of its
-vertex-facet incidence: on its own faces, or on the nerve of its facets
-when there are fewer facets than ground vertices.  Dowker's theorem
-(Dowker 1952; Bjorner, Topological methods, 1995) gives both the same
-reduced homology over every field.
+vertex-facet incidence: on its own faces, or on the nerve of its facets.
+Each side is the closure of its generators (the facets, or the distinct
+vertex stars), so it lists at most the sum of 2^|g| over them; the side
+with the smaller sum is ranked.  Dowker's theorem (Dowker 1952; Bjorner,
+Topological methods, 1995) gives both the same reduced homology over
+every field.
 """
 
 from __future__ import annotations
@@ -151,16 +153,6 @@ class SimplicialComplex:
         object.__setattr__(self, "_faces", faces)
 
     @classmethod
-    def _trusted(
-        cls, vertices: tuple[int, ...], faces: frozenset[frozenset[int]]
-    ) -> SimplicialComplex:
-        """A complex the package built downward closed on sorted distinct
-        vertices; the closure and ground-set checks are skipped."""
-        complex_ = object.__new__(cls)
-        complex_._set(vertices, _maximal(vertices, faces), faces)
-        return complex_
-
-    @classmethod
     def _from_facets(
         cls, vertices: tuple[int, ...], facets: tuple[tuple[int, ...], ...]
     ) -> SimplicialComplex:
@@ -196,25 +188,28 @@ class SimplicialComplex:
         one entry per degree up to the top facet's dimension.
 
         Entry 0 of the result is the degree -1 homology; a void complex
-        returns an empty tuple.  With fewer facets than ground vertices
-        the ranks are taken on the nerve of the facets instead: the
-        complex on facet labels 1..k generated by the vertex stars
-        {j : v in F_j}.  By Dowker's theorem it has the same reduced
-        homology over every field.
+        returns an empty tuple.  The ranks are taken on the complex's own
+        faces, or on the nerve of its facets (the complex on facet labels
+        1..k generated by the vertex stars {j : v in F_j}) when the
+        distinct stars bound fewer faces than the facets do: the sum of
+        2^|star| against the sum of 2^|facet|.  By Dowker's theorem both
+        have the same reduced homology over every field.
         """
         validate_characteristic(char)
         facets = self.facets
         if not facets:
             return ()
         guard_ground_set(len(self.vertices))
-        if len(facets) < len(self.vertices):
-            stars: dict[int, list[int]] = {}
-            for j, facet in enumerate(facets, 1):
-                for v in facet:
-                    stars.setdefault(v, []).append(j)
+        stars: dict[int, list[int]] = {}
+        for j, facet in enumerate(facets, 1):
+            for v in facet:
+                stars.setdefault(v, []).append(j)
+        # Vertices with equal stars give the nerve one generator.
+        nerve = set(map(tuple, stars.values()))
+        if sum(1 << len(s) for s in nerve) < sum(1 << len(f) for f in facets):
             # The empty face is listed apart: no star holds it when no
             # vertex lies in a facet (the irrelevant complex).
-            by_dim = _by_dim(_closure([(), *stars.values()]))
+            by_dim = _by_dim(_closure([(), *nerve]))
         else:
             by_dim = self._faces_by_dim()
         top = max(by_dim)

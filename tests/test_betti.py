@@ -38,12 +38,16 @@ def wider_ideals():
 
 def has_nerve_side_point(ideal):
     """True when some lattice point is no cone and its Koszul complex has
-    at least 2 facets, fewer than its vertices: its homology is then taken
-    on the nerve."""
+    at least 2 facets whose distinct vertex stars bound fewer faces than
+    the facets themselves (sum of 2^|star| below sum of 2^|facet|): its
+    homology is then taken on the nerve."""
     gens = [g.exponents for g in ideal.gens]
     for b in lcm_lattice(ideal):
         facets = _koszul_facets(gens, b.exponents)
-        if 2 <= len(facets) < len(b.support()) and not _is_cone(facets):
+        if len(facets) < 2 or _is_cone(facets):
+            continue
+        stars = {tuple(j for j, f in enumerate(facets) if v in f) for v in b.support()}
+        if sum(2 ** len(s) for s in stars if s) < sum(2 ** len(f) for f in facets):
             return True
     return False
 
@@ -56,6 +60,12 @@ def nerve_side_ideals():
             max_size=6,
         ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
     ).filter(has_nerve_side_point)
+
+
+def koszul_at(ideal, b):
+    """The Koszul complex at b, built from the facets betti_table hands over."""
+    facets = _koszul_facets([g.exponents for g in ideal.gens], b.exponents)
+    return koszul_complex(ideal, b, facets=facets)
 
 
 def koszul_by_frontier(ideal, b):
@@ -101,7 +111,7 @@ def betti_entries_at_every_point(ideal, char):
 def test_koszul_complex_matches_frontier_builder(ideal, extra):
     points = lcm_lattice(ideal) + [Monomial(tuple(extra[: ideal.n])), Monomial((0,) * ideal.n)]
     for b in points:
-        built = koszul_complex(ideal, b)
+        built = koszul_at(ideal, b)
         reference = koszul_by_frontier(ideal, b)
         assert built.vertices == reference.vertices
         assert built.faces == reference.faces
@@ -156,7 +166,7 @@ def test_lcm_lattice_guard():
 
 
 def test_koszul_complex_void_outside_ideal():
-    k = koszul_complex(MIXED, Monomial.of(1, 1, 0))
+    k = koszul_at(MIXED, Monomial.of(1, 1, 0))
     assert k.is_void
 
 
@@ -166,18 +176,18 @@ def test_koszul_complex_refuses_wide_support():
     top = lcm_lattice(wide)[-1]
     assert top.exponents == (1,) * 24
     with pytest.raises(GuardError, match="^ground set of size 24 exceeds the desk-scale limit 20$"):
-        koszul_complex(wide, top)
+        koszul_at(wide, top)
     # Outside the ideal the complex is void, however wide its support.
-    assert koszul_complex(wide, Monomial((1,) * 11 + (0,) + (1,) * 11 + (0,))).is_void
+    assert koszul_at(wide, Monomial((1,) * 11 + (0,) + (1,) * 11 + (0,))).is_void
 
 
 def test_koszul_complex_two_isolated_vertices():
-    k = koszul_complex(MIXED, Monomial.of(1, 1, 1))
+    k = koszul_at(MIXED, Monomial.of(1, 1, 1))
     assert k.faces == {frozenset(), frozenset({1}), frozenset({2})}
 
 
 def test_koszul_complex_hollow_triangle():
-    k = koszul_complex(MIXED, Monomial.of(2, 2, 1))
+    k = koszul_at(MIXED, Monomial.of(2, 2, 1))
     assert frozenset({1, 2, 3}) not in k.faces
     assert frozenset({1, 2}) in k.faces
     assert frozenset({1, 3}) in k.faces

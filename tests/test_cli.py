@@ -177,6 +177,20 @@ def test_reg_on_four_disjoint_quintics(tmp_path, capsys):
     assert (code, out, err) == (0, "reg=17 (char 0)\n", "")
 
 
+def test_reg_on_star_plus_edge(tmp_path, capsys):
+    # 17 generators x1*...*x20 / (x1*x_i), i = 2..18, plus x1*...*x18. K^b
+    # at the top point is 17 edges at vertex 1 plus the edge {19, 20}: 18
+    # facets on 20 vertices, but the star of vertex 1 holds 17 facet labels,
+    # so its homology is taken on the 39 faces of the graph, not on the
+    # 2^17 faces of the nerve.
+    gens = [[int(v not in (1, i)) for v in range(1, 21)] for i in range(2, 19)]
+    gens.append([int(v not in (19, 20)) for v in range(1, 21)])
+    instance = tmp_path / "star_plus_edge.json"
+    instance.write_text(json.dumps({"n": 20, "gens": gens}))
+    code, out, err = run(capsys, ["reg", str(instance)])
+    assert (code, out, err) == (0, "reg=19 (char 0)\n", "")
+
+
 def test_dual_golden(in_repo_root, capsys):
     code, out, _ = run(capsys, ["dual", H0])
     assert code == 0

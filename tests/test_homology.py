@@ -209,18 +209,23 @@ def test_characteristic_checked_once_per_homology_call(monkeypatch):
     assert info.misses <= 1 and info.hits == chars.count(p)
 
 
-def test_reduced_homology_matches_reference_on_both_sides(monkeypatch):
-    # The side is told by a spy: only the complex's own side lists its
-    # faces by dimension.
-    sides = set()
-    listed = []
+@pytest.fixture
+def listed(monkeypatch):
+    """Complexes whose own faces were listed by dimension: only the
+    complex's own side does that, the nerve side does not."""
+    seen = []
     original = SimplicialComplex._faces_by_dim
 
     def spy(self):
-        listed.append(self)
+        seen.append(self)
         return original(self)
 
     monkeypatch.setattr(SimplicialComplex, "_faces_by_dim", spy)
+    return seen
+
+
+def test_reduced_homology_matches_reference_on_both_sides(listed):
+    sides = set()
 
     @given(facet_lists)
     @settings(max_examples=150)
@@ -238,12 +243,21 @@ def test_reduced_homology_matches_reference_on_both_sides(monkeypatch):
             assert built.reduced_homology_dims(char) == expected, char
             assert validated.reduced_homology_dims(char) == expected, char
             if facets:
-                nerve = len(listed) == 0
-                assert nerve == (len(facets) < n)
-                sides.add(nerve)
+                sides.add(len(listed) == 0)
 
     check()
     assert sides == {True, False}
+
+
+def test_star_plus_edge_ranks_its_own_faces(listed):
+    # Six edges on eight vertices: five meet at vertex 1, plus {7, 8}.
+    # Fewer facets than vertices, but the star of vertex 1 holds five
+    # facet labels, so the nerve would list 2^5 faces for it alone against
+    # the graph's 15.
+    facets = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (7, 8))
+    graph = SimplicialComplex._from_facets(tuple(range(1, 9)), facets)
+    assert graph.reduced_homology_dims() == (0, 1, 0)
+    assert listed == [graph]
 
 
 @given(st.one_of(matrices, wide_matrices))
@@ -289,9 +303,10 @@ def test_complex_validation():
 
 def test_trusted_complex_equals_validated():
     faces = frozenset(frozenset(f) for f in [(), (1,), (2,), (3,), (1, 2), (2, 3)])
-    trusted = SimplicialComplex._trusted((1, 2, 3), faces)
+    trusted = SimplicialComplex._from_facets((1, 2, 3), ((1, 2), (2, 3)))
     validated = SimplicialComplex([3, 1, 2], faces)
     assert trusted.vertices == validated.vertices
+    assert trusted.facets == validated.facets
     assert trusted.faces == validated.faces
     assert trusted.reduced_homology_dims() == validated.reduced_homology_dims() == (0, 0, 0)
     for k in range(0, 2):
