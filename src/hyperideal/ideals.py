@@ -3,13 +3,16 @@ respect to a degree vector.
 
 All operations are exact and deterministic: generators are kept minimized
 and sorted in the canonical order, so equal ideals have identical
-representations.
+representations.  Duals and intersections of irreducible components go
+through one fold over exponent tuples, :func:`_intersect`, which keeps
+its running generators minimal at every step instead of minimizing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import gt
 from typing import Iterable, Sequence
 
 from .homology import GuardError
@@ -18,6 +21,11 @@ from .monomials import Monomial, canonical_sorted, compositions, divides_any
 # Most degree-t monomials a truncation may list: C(t+n-1, n-1) bounds
 # their number, and truncate refuses before enumerating above it.
 MAX_TRUNCATION = 10**6
+
+# Most generators the running intersection of a fold may hold: _intersect
+# refuses as soon as it holds more.  An up-front estimate (the product of
+# the support sizes) would refuse ideals whose fold stays small.
+MAX_INTERSECTION = 10**5
 
 
 def _minimize(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -107,6 +115,15 @@ class MonomialIdeal:
         ideal._fill(n, _minimize(exps))
         return ideal
 
+    @classmethod
+    def _of_minimal(cls, n: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
+        """The ideal whose minimal generators, already distinct, pairwise
+        incomparable and in canonical order, are ``minimal``; taken as
+        they are, not re-checked or minimized."""
+        ideal = object.__new__(cls)
+        ideal._fill(n, minimal)
+        return ideal
+
     def _fill(self, n: int, minimal: list[tuple[int, ...]]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", tuple(map(Monomial._trusted, minimal)))
@@ -174,9 +191,7 @@ class MonomialIdeal:
             )
         fit = [g for g, d in zip(self._exps, degrees) if d <= t]
         above = [g for g, d in zip(self._exps, degrees) if d > t]
-        cut = object.__new__(MonomialIdeal)
-        cut._fill(self.n, _degree_members(fit, self.n, t) + above)
-        return cut
+        return MonomialIdeal._of_minimal(self.n, _degree_members(fit, self.n, t) + above)
 
     def deg(self) -> int:
         """Highest degree among the minimal generators."""
@@ -221,62 +236,98 @@ class IrreducibleComponent:
         return ", ".join(f"x{i}^{p}" if p > 1 else f"x{i}" for p, i in order)
 
 
-def intersect_components(components: Sequence[IrreducibleComponent]) -> MonomialIdeal:
-    """Intersect the components by folding them in one at a time.
+def _intersect(n: int, powers: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Minimal generators, in canonical order, of the intersection of the
+    irreducible components m^v, v in ``powers`` (exponent tuples of
+    ambient n with a positive entry each).
 
-    A generator g of the running intersection that already lies in the
-    next component m^v is kept; otherwise it is replaced by g with x_i
-    raised to v_i for each i in supp(v), which are the minimal members of
-    (g) intersected with m^v.  The result is minimized after each step.
+    Folds the components in one at a time; the running generators stay
+    minimal, so no step minimizes.  A generator g that lies in m^v is
+    kept: no new candidate divides it.  Otherwise, for each i in supp(v),
+    the candidate c = g with x_i raised to v_i is a minimal generator of
+    the next step exactly when no other generator h of this step divides
+    it.  Such an h has h_i > g_i, so only the generators carrying x_i are
+    scanned, indexed once per step and coordinate.  Raises ``GuardError``
+    as soon as a step holds more than ``MAX_INTERSECTION`` generators.
     """
+    gens = [(0,) * n]
+    for k, v in enumerate(powers, start=1):
+        supp = [(i, p) for i, p in enumerate(v) if p]
+        carriers = {i: [h for h in gens if h[i]] for i, _ in supp}
+        step = []
+        for g in gens:
+            for i, p in supp:
+                if g[i] >= p:
+                    step.append(g)
+                    break
+            else:
+                for i, p in supp:
+                    c = g[:i] + (p,) + g[i + 1 :]
+                    gi = g[i]
+                    for h in carriers[i]:
+                        if h[i] > gi and not any(map(gt, h, c)):
+                            break
+                    else:
+                        step.append(c)
+                if len(step) > MAX_INTERSECTION:
+                    raise GuardError(
+                        f"intersection of {len(powers)} irreducible components: {len(step)} "
+                        f"generators at component {k} exceed the desk-scale limit "
+                        f"{MAX_INTERSECTION}"
+                    )
+        gens = step
+    return canonical_sorted(gens)
+
+
+def intersect_components(components: Sequence[IrreducibleComponent]) -> MonomialIdeal:
+    """Intersect the components, folded in one at a time by
+    :func:`_intersect`."""
     if not components:
         raise ValueError("cannot intersect an empty list of components")
     n = components[0].n
-    cands: list[tuple[int, ...]] = [(0,) * n]
     for comp in components:
         if comp.n != n:
             raise ValueError(f"ambient dimension mismatch: {n} vs {comp.n}")
-        v = comp.powers
-        supp = [i for i, p in enumerate(v) if p >= 1]
-        gens, cands = _minimize(cands), []
-        for g in gens:
-            if any(g[i] >= v[i] for i in supp):
-                cands.append(g)
-            else:
-                cands.extend(g[:i] + (v[i],) + g[i + 1 :] for i in supp)
-    return MonomialIdeal._trusted(n, cands)
+    return MonomialIdeal._of_minimal(n, _intersect(n, [comp.powers for comp in components]))
+
+
+def _dual_powers(ideal: MonomialIdeal, c: Sequence[int]) -> list[tuple[int, ...]]:
+    """The exponent vectors of the dual's components, one per minimal
+    generator x^g, in generator order: v_i = c_i + 1 - g_i where g_i >= 1
+    and v_i = 0 where g_i = 0.
+
+    The one validation of a dual's input, in this order: a zero or unit
+    ideal, a c of the wrong length, an entry of c that is not a
+    nonnegative integer, a generator that does not divide x^c.
+    """
+    if ideal.is_zero or ideal.is_unit:
+        raise ValueError("dual undefined for the zero and unit ideals")
+    c = tuple(c)
+    if len(c) != ideal.n:
+        raise ValueError(f"degree vector length {len(c)} != ambient {ideal.n}")
+    Monomial(c)  # raises on an entry that is not a nonnegative integer
+    for g, e in zip(ideal.gens, ideal._exps):
+        if any(map(gt, e, c)):
+            raise ValueError(f"generator {g} does not divide x^c with c={list(c)}")
+    return [tuple([ci + 1 - gi if gi else 0 for ci, gi in zip(c, e)]) for e in ideal._exps]
 
 
 def alexander_dual(ideal: MonomialIdeal, c: Sequence[int]) -> MonomialIdeal:
     """Dual of a monomial ideal with respect to the degree vector c.
 
     Intersects, over the minimal generators x^b, the pure-power ideals
-    whose exponents are the complement of b inside c.  Every generator
+    whose exponents are the complement of b inside c, folding their
+    exponent tuples straight through :func:`_intersect`.  Every generator
     must divide x^c.
     """
-    comps = dual_components(ideal, c)
-    return intersect_components(comps)
+    return MonomialIdeal._of_minimal(ideal.n, _intersect(ideal.n, _dual_powers(ideal, c)))
 
 
 def dual_components(ideal: MonomialIdeal, c: Sequence[int]) -> tuple[IrreducibleComponent, ...]:
     """The irreducible components of the dual, one per minimal generator
     x^g, in generator order: m^v with v_i = c_i + 1 - g_i where g_i >= 1
     and v_i = 0 where g_i = 0.  Every generator must divide x^c."""
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("dual undefined for the zero and unit ideals")
-    c = tuple(c)
-    if len(c) != ideal.n:
-        raise ValueError(f"degree vector length {len(c)} != ambient {ideal.n}")
-    bound = Monomial(c)
-    for g in ideal.gens:
-        if not g.divides(bound):
-            raise ValueError(f"generator {g} does not divide x^c with c={list(c)}")
-    return tuple(
-        IrreducibleComponent(
-            ideal.n, tuple(ci + 1 - gi if gi else 0 for ci, gi in zip(c, g.exponents))
-        )
-        for g in ideal.gens
-    )
+    return tuple(IrreducibleComponent(ideal.n, v) for v in _dual_powers(ideal, c))
 
 
 def irredundant_filter(

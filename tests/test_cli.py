@@ -281,6 +281,22 @@ def test_check_refuses_large_truncations(in_repo_root, tmp_path, capsys, shape, 
     assert "desk-scale limit 1000000" in err
 
 
+def test_check_refuses_disjoint_quadrics(tmp_path, capsys):
+    # x1*x2, x3*x4, ..., x35*x36: the dual has 2^18 generators, and the
+    # fold's running intersection passes the limit at the 17th component.
+    k = 18
+    instance = tmp_path / "quadrics.json"
+    gens = [[int(i // 2 == j) for i in range(2 * k)] for j in range(k)]
+    instance.write_text(json.dumps({"n": 2 * k, "gens": gens}))
+    code, out, err = run(capsys, ["check", "--skip-reg", str(instance)])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "guard: intersection of 18 irreducible components: 100002 generators "
+        "at component 17 exceed the desk-scale limit 100000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "gens, detail",
     [

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperideal import ideals
 from hyperideal.homology import GuardError
 from hyperideal.ideals import (
     MAX_TRUNCATION,
     IrreducibleComponent,
     MonomialIdeal,
+    _minimize,
     alexander_dual,
     dual_components,
     intersect_components,
@@ -37,6 +39,25 @@ def intersect(a, b):
     )
 
 
+def reference_intersect(components):
+    """The fold ``intersect_components`` used to run: a generator g of the
+    running intersection that lies in the next component m^v is kept, any
+    other is replaced by g with x_i raised to v_i for each i in supp(v),
+    and the candidates are minimized before every step."""
+    n = components[0].n
+    cands = [(0,) * n]
+    for comp in components:
+        v = comp.powers
+        supp = [i for i, p in enumerate(v) if p >= 1]
+        gens, cands = _minimize(cands), []
+        for g in gens:
+            if any(g[i] >= v[i] for i in supp):
+                cands.append(g)
+            else:
+                cands.extend(g[:i] + (v[i],) + g[i + 1 :] for i in supp)
+    return MonomialIdeal.from_exponents(n, cands)
+
+
 def reference_irredundant_filter(components):
     """Drop the first component that contains the intersection of the
     others, tested generator by generator on raw tuples, and restart."""
@@ -45,7 +66,7 @@ def reference_irredundant_filter(components):
     while changed and len(comps) > 1:
         changed = False
         for i in range(len(comps)):
-            rest = intersect_components(comps[:i] + comps[i + 1 :])
+            rest = reference_intersect(comps[:i] + comps[i + 1 :])
             b = comps[i].powers
             if all(any(p >= 1 and e >= p for e, p in zip(g.exponents, b)) for g in rest.gens):
                 del comps[i]
@@ -326,6 +347,88 @@ def test_intersect_components_matches_pairwise_lcm(components):
 def test_component_str_matches_pure_power_ideal(components):
     for comp in components:
         assert str(comp) == str(component_ideal(comp))
+
+
+def fold_lists(n_max=7, max_size=10):
+    """Component lists drawn with repetition from a pool of up to
+    ``max_size`` vectors whose entries are mostly 0."""
+    entries = st.sampled_from((0, 0, 0, 1, 2, 3))
+    return st.integers(min_value=1, max_value=n_max).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n)
+            .filter(any)
+            .map(lambda v: IrreducibleComponent(n, tuple(v))),
+            min_size=1,
+            max_size=max_size,
+        ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
+    )
+
+
+@given(fold_lists())
+@settings(max_examples=300)
+def test_intersect_components_matches_reference_fold(components):
+    # Equal ideals have equal generator tuples in canonical order.
+    assert intersect_components(components) == reference_intersect(components)
+
+
+def disjoint_quadrics(k):
+    """x1*x2, x3*x4, ..., x_{2k-1}*x_{2k}: its dual has 2^k generators."""
+    return ideal_of(2 * k, *(tuple(int(i // 2 == j) for i in range(2 * k)) for j in range(k)))
+
+
+def test_disjoint_quadrics_dual_and_double_dual():
+    for k in range(1, 9):
+        ideal, c = disjoint_quadrics(k), (1,) * (2 * k)
+        dual = alexander_dual(ideal, c)
+        assert len(dual.gens) == 2**k
+        assert dual == reference_intersect(dual_components(ideal, c))
+        double = alexander_dual(dual, c)
+        assert double == reference_intersect(dual_components(dual, c)) == ideal
+
+
+@given(small_ideals(n_max=6), st.data())
+@settings(max_examples=150)
+def test_alexander_dual_matches_components_and_reference_fold(ideal, data):
+    cap = [max(g.exponents[i] for g in ideal.gens) for i in range(ideal.n)]
+    c = tuple(m + data.draw(st.integers(min_value=0, max_value=1)) for m in cap)
+    assert alexander_dual(ideal, c) == reference_intersect(dual_components(ideal, c))
+
+
+@pytest.mark.parametrize(
+    "ideal, c, message",
+    [
+        (MonomialIdeal(2), (True, 0, 0), "dual undefined for the zero and unit ideals"),
+        (ideal_of(2, (0, 0)), (-1,), "dual undefined for the zero and unit ideals"),
+        (ideal_of(2, (3, 1)), (True, -1, 0), "degree vector length 3 != ambient 2"),
+        (ideal_of(2, (3, 1)), (-1, 0), "exponents must be nonnegative integers, got (-1, 0)"),
+        (ideal_of(2, (3, 1)), (True, 0), "exponents must be nonnegative integers, got (True, 0)"),
+        (ideal_of(2, (3, 0), (0, 2)), (2, 1), "generator x2^2 does not divide x^c with c=[2, 1]"),
+    ],
+    ids=["zero", "unit", "length", "negative", "bool", "outside_box"],
+)
+def test_dual_errors_identical_and_in_order(ideal, c, message):
+    # Each input also breaks every later rule, so the first rule broken
+    # is the one reported.
+    for dual in (alexander_dual, dual_components):
+        with pytest.raises(ValueError) as exc:
+            dual(ideal, c)
+        assert str(exc.value) == message
+
+
+def test_intersection_guard(monkeypatch):
+    # The dual of four disjoint quadrics holds 2, 4, 8, 16 generators.
+    ideal, c = disjoint_quadrics(4), (1,) * 8
+    monkeypatch.setattr(ideals, "MAX_INTERSECTION", 16)
+    assert len(alexander_dual(ideal, c).gens) == 16
+    monkeypatch.setattr(ideals, "MAX_INTERSECTION", 15)
+    with pytest.raises(GuardError) as exc:
+        alexander_dual(ideal, c)
+    assert str(exc.value) == (
+        "intersection of 4 irreducible components: 16 generators at component 4 "
+        "exceed the desk-scale limit 15"
+    )
+    with pytest.raises(GuardError):
+        intersect_components(dual_components(ideal, c))
 
 
 def test_intersect_components_rejects_mixed_ambients():
