@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import lt
 
-from .homology import GuardError, SimplicialComplex, guard_ground_set, validate_characteristic
+from .homology import GuardError, SimplicialComplex, _maximal, guard_ground_set
+from .homology import validate_characteristic
 from .ideals import MonomialIdeal
 from .monomials import Monomial, canonical_sorted, divides_any
 
@@ -26,7 +27,8 @@ MAX_GENERATORS = 20
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
     """All least common multiples of nonempty generator subsets, without
-    duplicates, in canonical order."""
+    duplicates, in canonical order: one fold that adds each generator and
+    its join with every lcm found before it."""
     if ideal.is_zero:
         raise ValueError("the zero ideal has no lcm lattice")
     if len(ideal.gens) > MAX_GENERATORS:
@@ -34,51 +36,39 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
             f"{len(ideal.gens)} generators exceed the desk-scale limit "
             f"{MAX_GENERATORS}"
         )
-    gens = [g.exponents for g in ideal.gens]
-    seen = set(gens)
-    frontier = gens
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                joined = tuple(map(max, m, g))
-                if joined not in seen:
-                    seen.add(joined)
-                    nxt.append(joined)
-        frontier = nxt
+    seen: set[tuple[int, ...]] = set()
+    for g in [m.exponents for m in ideal.gens]:
+        seen |= {tuple(map(max, b, g)) for b in seen}
+        seen.add(g)
     return [Monomial._trusted(e) for e in canonical_sorted(seen)]
 
 
-def _koszul_facets(gens: list[tuple[int, ...]], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _koszul_facets(
+    gens: list[tuple[int, ...]], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
     """Maximal facets of the Koszul complex K^b, as sorted vertex tuples.
 
     A face F lies in K^b exactly when x^(b - F) is in the ideal, that is
     when F is inside S_g = {w : g_w < b_w} for some generator g dividing
-    x^b.  So K^b is generated by the maximal S_g; the list is empty (K^b
-    is void) when no generator divides x^b.
+    x^b.  So K^b is generated by the maximal S_g; there is none (K^b is
+    void) when no generator divides x^b.
     """
     labels = range(1, len(b) + 1)
-    sets = {tuple(compress(labels, map(lt, g, b))) for g in gens if divides_any((g,), b)}
-    facets: list[tuple[int, ...]] = []
-    for s in sorted(sets, key=len, reverse=True):
-        inside = set(s).issubset
-        if not any(inside(f) for f in facets):
-            facets.append(s)
-    return facets
+    return _maximal({tuple(compress(labels, map(lt, g, b))) for g in gens if divides_any((g,), b)})
 
 
-def _is_cone(facets: list[tuple[int, ...]]) -> bool:
+def _is_cone(facets: tuple[tuple[int, ...], ...]) -> bool:
     """True when every maximal facet contains one common vertex: the
     complex is then a cone over it, with zero reduced homology."""
     return bool(facets) and bool(set(facets[0]).intersection(*facets[1:]))
 
 
 def koszul_complex(
-    ideal: MonomialIdeal, b: Monomial, *, facets: list[tuple[int, ...]]
+    ideal: MonomialIdeal, b: Monomial, *, facets: tuple[tuple[int, ...], ...]
 ) -> SimplicialComplex:
     """Simplicial complex on the support of b whose faces are the subsets
     one can subtract from b (one unit per chosen variable) while staying
-    inside the ideal.  It is built from ``facets``, the list
+    inside the ideal.  It is built from ``facets``, the tuple
     ``_koszul_facets`` gives for the ideal's generators at b, and lists no
     face until asked.  Void when b itself lies outside the ideal; a
     non-void one on too wide a support is refused."""
@@ -87,7 +77,7 @@ def koszul_complex(
     support = tuple(sorted(b.support()))
     if facets:
         guard_ground_set(len(support))
-    return SimplicialComplex._from_facets(support, tuple(facets))
+    return SimplicialComplex._from_facets(support, facets)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_range(spec: str, what: str) -> range:

@@ -4,13 +4,13 @@ Boundary-matrix ranks come from one sparse row reduction: over a prime
 field every entry is reduced mod p, over Q each row is kept integral and
 divided by the gcd of its entries; there is no floating point anywhere.
 
-A complex is kept as its facets and ranked on the smaller side of its
-vertex-facet incidence: on its own faces, or on the nerve of its facets.
-Each side is the closure of its generators (the facets, or the distinct
-vertex stars), so it lists at most the sum of 2^|g| over them; the side
-with the smaller sum is ranked.  Dowker's theorem (Dowker 1952; Bjorner,
-Topological methods, 1995) gives both the same reduced homology over
-every field.
+A complex is built from generating sets and kept as the maximal ones, its
+facets.  It is ranked on the smaller side of its vertex-facet incidence:
+on its own faces, or on the nerve of its facets.  Each side is the closure
+of its generators (the facets, or the distinct vertex stars), so it lists
+at most the sum of 2^|g| over them; the side with the smaller sum is
+ranked.  Dowker's theorem (Dowker 1952; Bjorner, Topological methods,
+1995) gives both the same reduced homology over every field.
 """
 
 from __future__ import annotations
@@ -124,43 +124,39 @@ def matrix_rank(rows: Sequence[Sequence[int]], char: int = 0) -> int:
 class SimplicialComplex:
     """Finite abstract simplicial complex on integer vertex labels.
 
-    The complex keeps its facets (maximal faces, as sorted vertex tuples)
-    and lists its faces only when asked.  The void complex (no faces at
-    all) and the irrelevant complex (only the empty face) are distinct
-    states: the first has no facet and no homology in any degree, the
-    second has the empty facet and one dimension in degree -1.
+    Built from any generating vertex sets (faces, facets or a redundant
+    mix), it keeps their distinct maximal ones, its facets, as sorted
+    tuples and lists its faces only when asked.  The void complex (no
+    faces at all) and the irrelevant complex (only the empty face) are
+    distinct states: the first has no facet and no homology in any degree,
+    the second has the empty facet and one dimension in degree -1.
     """
 
     __slots__ = ("vertices", "facets", "_faces")
 
-    def __init__(self, vertices: Iterable[int], faces: Iterable[frozenset[int]]):
+    def __init__(self, vertices: Iterable[int], generators: Iterable[Iterable[int]]):
         vertices = tuple(sorted(set(vertices)))
-        faces = frozenset(frozenset(f) for f in faces)
-        ground = set(vertices)
-        for f in faces:
-            if not f <= ground:
-                raise ValueError(f"face {sorted(f)} not contained in the ground set")
-            for v in f:
-                if not (f - {v}) in faces:
-                    raise ValueError(
-                        f"not downward closed: {sorted(f - {v})} missing below {sorted(f)}"
-                    )
-        self._set(vertices, _maximal(vertices, faces), faces)
+        within = set(vertices).issuperset
+        sets = [tuple(sorted(set(g))) for g in generators]
+        for s in sets:
+            if not within(s):
+                raise ValueError(f"face {list(s)} not contained in the ground set")
+        self._set(vertices, _maximal(sets))
 
-    def _set(self, vertices, facets, faces) -> None:
+    def _set(self, vertices, facets) -> None:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "_faces", faces)
+        object.__setattr__(self, "_faces", None)
 
     @classmethod
     def _from_facets(
         cls, vertices: tuple[int, ...], facets: tuple[tuple[int, ...], ...]
     ) -> SimplicialComplex:
         """A complex the package knows by its maximal faces, given as sorted
-        tuples of the sorted distinct vertices (a Koszul complex); its
-        faces are listed on first access."""
+        tuples of the sorted distinct vertices (a Koszul complex), trusted
+        without checks."""
         complex_ = object.__new__(cls)
-        complex_._set(vertices, facets, None)
+        complex_._set(vertices, facets)
         return complex_
 
     def __setattr__(self, name, value):
@@ -222,18 +218,15 @@ class SimplicialComplex:
         return tuple(dims[:width]) + (0,) * (width - len(dims))
 
 
-def _maximal(
-    vertices: tuple[int, ...], faces: frozenset[frozenset[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """The faces of a downward-closed set that no one-vertex extension
-    keeps inside it, as sorted vertex tuples."""
-    return tuple(
-        sorted(
-            tuple(sorted(f))
-            for f in faces
-            if not any(v not in f and f | {v} in faces for v in vertices)
-        )
-    )
+def _maximal(sets: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The distinct inclusion-maximal sets among sorted vertex tuples, in
+    sorted order."""
+    kept: list[tuple[int, ...]] = []
+    for s in sorted(sets, key=len, reverse=True):
+        inside = set(s).issubset
+        if not any(inside(k) for k in kept):
+            kept.append(s)
+    return tuple(sorted(kept))
 
 
 def _closure(generators: Iterable[Sequence[int]]) -> set[tuple[int, ...]]:
@@ -263,10 +256,5 @@ def _boundary_matrix(by_dim: dict[int, list[tuple[int, ...]]], k: int) -> list[l
 
 
 def simplex_faces(vertices: Iterable[int]) -> list[frozenset[int]]:
-    """All faces of the full simplex on the given vertices, empty face
-    included."""
-    vs = sorted(set(vertices))
-    out = [frozenset()]
-    for size in range(1, len(vs) + 1):
-        out.extend(frozenset(c) for c in combinations(vs, size))
-    return out
+    """All faces of the full simplex on the given vertices, the empty one too."""
+    return list(map(frozenset, _closure([set(vertices)])))

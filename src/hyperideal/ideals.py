@@ -221,6 +221,8 @@ class IrreducibleComponent:
         powers = tuple(self.powers)
         if len(powers) != self.n:
             raise ValueError(f"expected {self.n} entries, got {len(powers)}")
+        if any(type(p) is not int for p in powers):
+            raise ValueError(f"entries must be integers, got {powers!r}")
         if any(p < 0 for p in powers):
             raise ValueError("entries must be nonnegative")
         if not any(p >= 1 for p in powers):

@@ -112,6 +112,8 @@ def t_bound(a: Sequence[int]) -> int:
     sorted nonincreasingly, so the value does not depend on vertex order.
     """
     entries = tuple(a)
+    if any(type(e) is not int for e in entries):
+        raise ValueError(f"containment entries must be integers, got {entries!r}")
     if not entries or all(e == 0 for e in entries):
         raise ValueError("bound undefined for an all-zero vector")
     if any(e < 0 for e in entries):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +167,20 @@ def test_lcm_lattice_guard():
         lcm_lattice(MonomialIdeal(2))
 
 
+@given(small_ideals(n_max=4, e_max=3, max_gens=7))
+@settings(max_examples=60)
+def test_lcm_lattice_is_every_subset_lcm_in_canonical_order(ideal):
+    gens = [g.exponents for g in ideal.gens]
+    lcms = {
+        tuple(map(max, zip(*subset)))
+        for size in range(1, len(gens) + 1)
+        for subset in combinations(gens, size)
+    }
+    # Degree ascending, lexicographically descending within a degree.
+    expected = sorted(lcms, key=lambda e: (sum(e), [-x for x in e]))
+    assert [m.exponents for m in lcm_lattice(ideal)] == expected
+
+
 def test_koszul_complex_void_outside_ideal():
     k = koszul_at(MIXED, Monomial.of(1, 1, 0))
     assert k.is_void
@@ -225,6 +241,16 @@ def test_maximal_ideal_koszul_counts():
     assert table.regularity() == 1
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cycle_regularity_matches_jacques(n):
+    # Jacques (PhD thesis, Sheffield, 2004): reg I(C_n) is nu + 1 for
+    # n = 0, 1 (mod 3) and nu + 2 for n = 2 (mod 3), where nu = n // 3.
+    edges = [tuple(int(v in (i, (i + 1) % n)) for v in range(n)) for i in range(n)]
+    cycle = MonomialIdeal.from_exponents(n, edges)
+    expected = n // 3 + (2 if n % 3 == 2 else 1)
+    assert regularity(cycle, 0) == regularity(cycle, 2) == expected
+
+
 def test_stable_truncation_regularity_equals_top_degree():
     comp = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
     cut = comp.truncate(3)
@@ -246,8 +272,6 @@ def test_euler_consistency_on_mixed_ideal():
 
 def _signed_counts_by_enumeration(ideal):
     """All 2^g generator subsets, tallied by lcm with sign (-1)^(|S|-1)."""
-    from itertools import combinations
-
     counts = {}
     gens = [g.exponents for g in ideal.gens]
     for size in range(1, len(gens) + 1):

@@ -365,6 +365,27 @@ def test_out_flag_writes_file(in_repo_root, tmp_path, capsys):
     ).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", H0],
+        ["check", H1],
+        ["betti", MIXED],
+        ["reg", MIXED],
+        ["bench", "--count", "1"],
+        ["gen", "--n", "6", "--s", "3"],
+    ],
+)
+def test_unwritable_out_is_an_input_error(in_repo_root, tmp_path, capsys, argv):
+    # A missing parent folder and a directory both end in one error line.
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run(capsys, [*argv, "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_two(in_repo_root, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -93,12 +93,14 @@ def reference_reduced_homology(faces, char):
     )
 
 
+def closure(sets):
+    """Every subset of every set, as frozensets."""
+    return {frozenset(c) for s in sets for k in range(len(s) + 1) for c in combinations(s, k)}
+
+
 def complex_of(vertices, maximal_faces):
-    faces = set()
-    for mf in maximal_faces:
-        for size in range(len(mf) + 1):
-            faces.update(frozenset(c) for c in combinations(mf, size))
-    return SimplicialComplex(vertices, faces)
+    """The complex built from its full face list."""
+    return SimplicialComplex(vertices, closure(maximal_faces))
 
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -295,10 +297,33 @@ def test_rank_empty():
 
 
 def test_complex_validation():
-    with pytest.raises(ValueError, match="downward"):
-        SimplicialComplex([1, 2], [frozenset({1, 2})])
+    # A generating set need not list its subsets: {1, 2} is the full edge.
+    edge = SimplicialComplex([1, 2], [{1, 2}])
+    assert edge.facets == ((1, 2),)
+    assert len(edge.faces) == 4
+    assert edge.reduced_homology_dims() == (0, 0, 0)
     with pytest.raises(ValueError, match="ground"):
         SimplicialComplex([1], [frozenset(), frozenset({2})])
+
+
+@given(facet_lists)
+@settings(max_examples=100)
+def test_generator_lists_give_one_complex(drawn):
+    # A face list, a facet list and a redundant list (duplicates, sub-faces,
+    # reversed order) generate the same complex.
+    n, sets = drawn
+    facets = maximal_sets(sets)
+    faces = closure(facets)
+    subfaces = [set(s) - {max(s)} for s in sets if s] + [set() for _ in sets[:1]]
+    redundant = [*sets, *sets, *subfaces]
+    vertices = tuple(range(1, n + 1))
+    expected = reference_reduced_homology(faces, 0), reference_reduced_homology(faces, 2)
+    for generators in (faces, facets, redundant[::-1]):
+        built = SimplicialComplex(reversed(vertices), generators)
+        assert built.vertices == vertices
+        assert built.facets == tuple(sorted(tuple(sorted(f)) for f in facets))
+        assert built.faces == faces
+        assert (built.reduced_homology_dims(0), built.reduced_homology_dims(2)) == expected
 
 
 def test_trusted_complex_equals_validated():

@@ -265,6 +265,9 @@ def test_irreducible_component_validation():
         IrreducibleComponent(2, (0, 0))
     with pytest.raises(ValueError):
         IrreducibleComponent(2, (1,))
+    for bad in ((1.5, 0), (True, 0), (2, "1")):
+        with pytest.raises(ValueError, match="integers"):
+            IrreducibleComponent(2, bad)
     comp = IrreducibleComponent(3, (2, 2, 1))
     assert comp.support() == frozenset({1, 2, 3})
 

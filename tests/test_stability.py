@@ -203,6 +203,9 @@ def test_t_bound():
         t_bound((0, 0))
     with pytest.raises(ValueError):
         t_bound((2, -1))
+    for bad in ((1.5, 2), (True, 2), (2, "1")):
+        with pytest.raises(ValueError, match="integers"):
+            t_bound(bad)
 
 
 def test_q_bound():
