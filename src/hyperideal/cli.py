@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import os
 import random
 import sys
 
@@ -41,6 +42,15 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 BENCH_SCHEMA_COMMENT = "# hyperideal bench schema v1"
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out target before any work, creating or truncating
+    nothing: _emit writes it only once the output is complete."""
+    folder = os.path.dirname(out) or "."
+    target = out if os.path.exists(out) else folder
+    if os.path.isdir(out) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise InputError(f"cannot write {out}: not a writable file in an existing directory")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -267,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as exc:  # InputError is a ValueError
         sys.stderr.write(f"error: {exc}\n")

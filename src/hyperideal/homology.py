@@ -27,15 +27,6 @@ class GuardError(RuntimeError):
     """Raised when an input exceeds the desk-scale guards."""
 
 
-def guard_ground_set(size: int) -> None:
-    """Refuse homology over a ground set larger than MAX_GROUND_VERTICES;
-    callers building a complex ask before listing its faces."""
-    if size > MAX_GROUND_VERTICES:
-        raise GuardError(
-            f"ground set of size {size} exceeds the desk-scale limit {MAX_GROUND_VERTICES}"
-        )
-
-
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below this bound (Sorenson and Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -172,10 +163,6 @@ class SimplicialComplex:
             object.__setattr__(self, "_faces", frozenset(map(frozenset, _closure(self.facets))))
         return self._faces
 
-    @property
-    def is_void(self) -> bool:
-        return not self.facets
-
     def _faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         return _by_dim(_closure(self.facets))
 
@@ -184,18 +171,28 @@ class SimplicialComplex:
         one entry per degree up to the top facet's dimension.
 
         Entry 0 of the result is the degree -1 homology; a void complex
-        returns an empty tuple.  The ranks are taken on the complex's own
-        faces, or on the nerve of its facets (the complex on facet labels
-        1..k generated by the vertex stars {j : v in F_j}) when the
-        distinct stars bound fewer faces than the facets do: the sum of
-        2^|star| against the sum of 2^|facet|.  By Dowker's theorem both
-        have the same reduced homology over every field.
+        returns an empty tuple, a cone (facets sharing a vertex) zeros, on
+        any ground set and before any face is listed.  Other complexes on
+        more than MAX_GROUND_VERTICES vertices are refused.  The ranks are
+        taken on the complex's own faces, or on the nerve of its facets
+        (the complex on facet labels 1..k generated by the vertex stars
+        {j : v in F_j}) when the distinct stars bound fewer faces than the
+        facets do: the sum of 2^|star| against the sum of 2^|facet|.  By
+        Dowker's theorem both have the same reduced homology over every
+        field.
         """
         validate_characteristic(char)
         facets = self.facets
         if not facets:
             return ()
-        guard_ground_set(len(self.vertices))
+        width = max(map(len, facets)) + 1
+        if set(facets[0]).intersection(*facets[1:]):
+            return (0,) * width
+        size = len(self.vertices)
+        if size > MAX_GROUND_VERTICES:
+            raise GuardError(
+                f"ground set of size {size} exceeds the desk-scale limit {MAX_GROUND_VERTICES}"
+            )
         stars: dict[int, list[int]] = {}
         for j, facet in enumerate(facets, 1):
             for v in facet:
@@ -214,7 +211,6 @@ class SimplicialComplex:
         ranks[-1] = 0
         ranks[top + 1] = 0
         dims = [counts[k] - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)]
-        width = max(map(len, facets)) + 1
         return tuple(dims[:width]) + (0,) * (width - len(dims))
 
 

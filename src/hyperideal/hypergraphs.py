@@ -19,6 +19,7 @@ from .ideals import (
     dual_components,
     intersect_components,
 )
+from .monomials import canonical_sorted
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ def inclusion_ideal(h: IncreasingHypergraph) -> MonomialIdeal:
     ``inclusion_ideal_minimal`` claim checks that the s generators stay.
     """
     s = h.s
-    return MonomialIdeal._trusted(
+    return MonomialIdeal._of_minimal(
         h.n,
-        (
+        canonical_sorted(
             tuple(s - i + 1 if v in edge else 0 for v in range(1, h.n + 1))
             for i, edge in enumerate(h.edges, start=1)
         ),
@@ -171,7 +172,9 @@ def restricted_dual(
     def relabel(e: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(e[v] for v in covered)
 
-    dual_r = MonomialIdeal._trusted(restricted.n, (relabel(g.exponents) for g in dual.gens))
+    dual_r = MonomialIdeal._of_minimal(
+        restricted.n, canonical_sorted(relabel(g.exponents) for g in dual.gens)
+    )
     comps_r = tuple(IrreducibleComponent(restricted.n, relabel(c.powers)) for c in comps)
     return restricted, dual_r, comps_r
 

@@ -108,14 +108,6 @@ class MonomialIdeal:
         self._fill(n, _minimize(g.exponents for g in gens))
 
     @classmethod
-    def _trusted(cls, n: int, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
-        """The ideal generated by exponent tuples derived from validated
-        values of ambient n; minimized here, not re-checked."""
-        ideal = object.__new__(cls)
-        ideal._fill(n, _minimize(exps))
-        return ideal
-
-    @classmethod
     def _of_minimal(cls, n: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
         """The ideal whose minimal generators, already distinct, pairwise
         incomparable and in canonical order, are ``minimal``; taken as
@@ -218,6 +210,8 @@ class IrreducibleComponent:
     powers: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"ambient dimension must be a positive integer, got {self.n!r}")
         powers = tuple(self.powers)
         if len(powers) != self.n:
             raise ValueError(f"expected {self.n} entries, got {len(powers)}")

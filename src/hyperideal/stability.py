@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ideals import MonomialIdeal
-from .monomials import Monomial, compositions
+from .monomials import Monomial, canonical_sorted, compositions
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ def pure_power_truncation_stable(exponents: Sequence[int]) -> bool:
     """
     a = _check_pure_power_hypothesis(exponents)
     n = len(a)
-    ideal = MonomialIdeal._trusted(
-        n, ((0,) * i + (a[i],) + (0,) * (n - i - 1) for i in range(n))
+    ideal = MonomialIdeal._of_minimal(
+        n, canonical_sorted((0,) * i + (a[i],) + (0,) * (n - i - 1) for i in range(n))
     )
     return _witness(ideal.truncate(sum(a) - a[0]), ideal) is None
 

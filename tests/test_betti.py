@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperideal.betti import (
-    _is_cone,
-    _koszul_facets,
     _signed_subset_counts,
     betti_table,
     euler_consistency_check,
@@ -43,10 +41,9 @@ def has_nerve_side_point(ideal):
     at least 2 facets whose distinct vertex stars bound fewer faces than
     the facets themselves (sum of 2^|star| below sum of 2^|facet|): its
     homology is then taken on the nerve."""
-    gens = [g.exponents for g in ideal.gens]
     for b in lcm_lattice(ideal):
-        facets = _koszul_facets(gens, b.exponents)
-        if len(facets) < 2 or _is_cone(facets):
+        facets = koszul_complex(ideal, b).facets
+        if len(facets) < 2 or set(facets[0]).intersection(*facets[1:]):
             continue
         stars = {tuple(j for j, f in enumerate(facets) if v in f) for v in b.support()}
         if sum(2 ** len(s) for s in stars if s) < sum(2 ** len(f) for f in facets):
@@ -62,12 +59,6 @@ def nerve_side_ideals():
             max_size=6,
         ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
     ).filter(has_nerve_side_point)
-
-
-def koszul_at(ideal, b):
-    """The Koszul complex at b, built from the facets betti_table hands over."""
-    facets = _koszul_facets([g.exponents for g in ideal.gens], b.exponents)
-    return koszul_complex(ideal, b, facets=facets)
 
 
 def koszul_by_frontier(ideal, b):
@@ -113,25 +104,33 @@ def betti_entries_at_every_point(ideal, char):
 def test_koszul_complex_matches_frontier_builder(ideal, extra):
     points = lcm_lattice(ideal) + [Monomial(tuple(extra[: ideal.n])), Monomial((0,) * ideal.n)]
     for b in points:
-        built = koszul_at(ideal, b)
+        built = koszul_complex(ideal, b)
         reference = koszul_by_frontier(ideal, b)
         assert built.vertices == reference.vertices
         assert built.faces == reference.faces
         if not ideal.contains(b):
-            assert built.is_void
+            assert built.facets == ()
 
 
-@given(wider_ideals())
-@settings(max_examples=60)
-def test_koszul_facets_are_maximal_and_detect_cones(ideal):
-    gens = [g.exponents for g in ideal.gens]
-    for b in lcm_lattice(ideal):
-        facets = _koszul_facets(gens, b.exponents)
-        assert all(not set(f) <= set(h) for f in facets for h in facets if f is not h)
-        faces = koszul_by_frontier(ideal, b).faces
-        # v is an apex exactly when F | {v} is a face for every face F.
-        apex = any(all(f | {v} in faces for f in faces) for v in b.support())
-        assert _is_cone(facets) == apex
+def test_koszul_facets_are_maximal_and_detect_cones(closures):
+    # The homology of K^b answers a cone with zeros and lists no face for it.
+    @given(wider_ideals())
+    @settings(max_examples=60)
+    def check(ideal):
+        for b in lcm_lattice(ideal):
+            complex_at_b = koszul_complex(ideal, b)
+            facets = complex_at_b.facets
+            assert all(not set(f) <= set(h) for f in facets for h in facets if f is not h)
+            faces = koszul_by_frontier(ideal, b).faces
+            # v is an apex exactly when F | {v} is a face for every face F.
+            apex = any(all(f | {v} in faces for f in faces) for v in b.support())
+            closures.clear()
+            dims = complex_at_b.reduced_homology_dims()
+            assert (closures == []) == apex
+            if apex:
+                assert dims == (0,) * (max(map(len, facets)) + 1)
+
+    check()
 
 
 @given(wider_ideals())
@@ -182,8 +181,8 @@ def test_lcm_lattice_is_every_subset_lcm_in_canonical_order(ideal):
 
 
 def test_koszul_complex_void_outside_ideal():
-    k = koszul_at(MIXED, Monomial.of(1, 1, 0))
-    assert k.is_void
+    k = koszul_complex(MIXED, Monomial.of(1, 1, 0))
+    assert k.facets == ()
 
 
 def test_koszul_complex_refuses_wide_support():
@@ -191,19 +190,22 @@ def test_koszul_complex_refuses_wide_support():
     wide = MonomialIdeal.from_exponents(24, [(1,) * 12 + (0,) * 12, (0,) * 12 + (1,) * 12])
     top = lcm_lattice(wide)[-1]
     assert top.exponents == (1,) * 24
+    complex_at_top = koszul_complex(wide, top)
+    assert complex_at_top.facets == (tuple(range(1, 13)), tuple(range(13, 25)))
     with pytest.raises(GuardError, match="^ground set of size 24 exceeds the desk-scale limit 20$"):
-        koszul_at(wide, top)
+        complex_at_top.reduced_homology_dims()
     # Outside the ideal the complex is void, however wide its support.
-    assert koszul_at(wide, Monomial((1,) * 11 + (0,) + (1,) * 11 + (0,))).is_void
+    outside = koszul_complex(wide, Monomial((1,) * 11 + (0,) + (1,) * 11 + (0,)))
+    assert (outside.facets, outside.reduced_homology_dims()) == ((), ())
 
 
 def test_koszul_complex_two_isolated_vertices():
-    k = koszul_at(MIXED, Monomial.of(1, 1, 1))
+    k = koszul_complex(MIXED, Monomial.of(1, 1, 1))
     assert k.faces == {frozenset(), frozenset({1}), frozenset({2})}
 
 
 def test_koszul_complex_hollow_triangle():
-    k = koszul_at(MIXED, Monomial.of(2, 2, 1))
+    k = koszul_complex(MIXED, Monomial.of(2, 2, 1))
     assert frozenset({1, 2, 3}) not in k.faces
     assert frozenset({1, 2}) in k.faces
     assert frozenset({1, 3}) in k.faces

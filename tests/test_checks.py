@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperideal.checks import (
     BENCH_COLUMNS,
@@ -8,8 +10,9 @@ from hyperideal.checks import (
     run_hypergraph_checks,
     run_ideal_checks,
 )
-from hyperideal.hypergraphs import build_hypergraph
+from hyperideal.hypergraphs import build_hypergraph, random_instance, restricted_dual, special_dual
 from hyperideal.ideals import MonomialIdeal
+from hyperideal.stability import _check_pure_power_hypothesis
 
 
 def chain3():
@@ -114,3 +117,24 @@ def test_bench_row_blank_reg_when_skipped():
     assert row["reg"] == ""
     assert row["reg_le_t"] == ""
     assert row["stable_at_t"] == "true"
+
+
+@st.composite
+def random_chains(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    s = draw(st.integers(min_value=1, max_value=min(8, 1 + 14 // d)))
+    n = draw(st.integers(min_value=2 + (s - 1) * d, max_value=16))
+    return random_instance(n, d, s, seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+@given(random_chains())
+@settings(max_examples=100)
+def test_restricted_dual_components_meet_the_pure_power_hypothesis(h):
+    # run_hypergraph_checks hands every component to
+    # pure_power_truncation_stable without catching its hypothesis check:
+    # component i lists the powers i, i-1, ..., 1 on |E_i| >= i+1 vertices.
+    _, _, comps = restricted_dual(h, *special_dual(h))
+    for i, comp in enumerate(comps, start=1):
+        exps = comp.powers[: len(comp.support())]
+        assert _check_pure_power_hypothesis(exps) == exps
+        assert exps[0] == i and exps[-1] == 1 and len(exps) >= i + 1

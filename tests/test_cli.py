@@ -376,14 +376,48 @@ def test_out_flag_writes_file(in_repo_root, tmp_path, capsys):
         ["gen", "--n", "6", "--s", "3"],
     ],
 )
-def test_unwritable_out_is_an_input_error(in_repo_root, tmp_path, capsys, argv):
-    # A missing parent folder and a directory both end in one error line.
+def test_unwritable_out_is_an_input_error(in_repo_root, tmp_path, capsys, monkeypatch, argv):
+    # A missing parent folder and a directory both end in one error line,
+    # before any input is read or instance generated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "load_path", refuse)
+    monkeypatch.setattr(cli, "random_instance", refuse)
     for target in (tmp_path / "missing" / "x.txt", tmp_path):
         code, out, err = run(capsys, [*argv, "--out", str(target)])
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reg_refuses_unwritable_out_before_the_table(tmp_path, capsys, monkeypatch):
+    # The 12-cycle edge ideal takes seconds; the missing folder is refused first.
+    instance = tmp_path / "cycle12.json"
+    gens = [[int(v in (i, (i + 1) % 12)) for v in range(12)] for i in range(12)]
+    instance.write_text(json.dumps({"n": 12, "gens": gens}))
+    tables = []
+    monkeypatch.setattr(cli, "betti_table", lambda *args, **kwargs: tables.append(args))
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, ["reg", str(instance), "--out", str(target)])
+    assert (code, out, tables) == (2, "", [])
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_failed_run_neither_creates_nor_truncates_out(tmp_path, capsys):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 21, "gens": [[1] * 11 + [0] * 10, [0] * 11 + [1] * 10]}))
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("earlier output\n")
+    for argv, status in ((["reg", str(wide)], 3), (["reg", str(tmp_path / "none.json")], 2)):
+        for target in (kept, fresh):
+            code, out, _ = run(capsys, [*argv, "--out", str(target)])
+            assert (code, out) == (status, "")
+    assert kept.read_text() == "earlier output\n"
+    assert not fresh.exists()
 
 
 def test_unknown_subcommand_exits_two(in_repo_root, capsys):

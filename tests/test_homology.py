@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperideal import homology
@@ -229,7 +229,11 @@ def listed(monkeypatch):
 def test_reduced_homology_matches_reference_on_both_sides(listed):
     sides = set()
 
+    # Non-cones on each side: the hollow triangle's own faces (equal
+    # bounds), and the 2-vertex nerve of two disjoint edges.
     @given(facet_lists)
+    @example((3, [{1, 2}, {1, 3}, {2, 3}]))
+    @example((4, [{1, 2}, {3, 4}]))
     @settings(max_examples=150)
     def check(drawn):
         n, sets = drawn
@@ -244,7 +248,8 @@ def test_reduced_homology_matches_reference_on_both_sides(listed):
             listed.clear()
             assert built.reduced_homology_dims(char) == expected, char
             assert validated.reduced_homology_dims(char) == expected, char
-            if facets:
+            # A cone lists no face on either side.
+            if facets and not frozenset.intersection(*facets):
                 sides.add(len(listed) == 0)
 
     check()
@@ -340,10 +345,10 @@ def test_trusted_complex_equals_validated():
 
 def test_void_versus_irrelevant():
     void = SimplicialComplex.void([1, 2])
-    assert void.is_void
+    assert void.facets == ()
     assert void.reduced_homology_dims() == ()
     irrelevant = SimplicialComplex([1, 2], [frozenset()])
-    assert not irrelevant.is_void
+    assert irrelevant.facets == ((),)
     assert irrelevant.reduced_homology_dims() == (1,)
 
 
@@ -402,11 +407,17 @@ def test_boundary_squares_to_zero():
     assert all(all(e == 0 for e in row) for row in product)
 
 
-def test_ground_set_guard():
+def test_ground_set_guard(closures):
     many = list(range(1, 22))
-    complex_big = SimplicialComplex(many, [frozenset(), frozenset({1})])
-    with pytest.raises(GuardError):
+    # Two points on 21 vertices: no cone, refused before any face is listed.
+    complex_big = SimplicialComplex(many, [frozenset({1}), frozenset({2})])
+    with pytest.raises(GuardError, match="^ground set of size 21 exceeds the desk-scale limit 20$"):
         complex_big.reduced_homology_dims()
+    # A cone over vertex 1 answers zeros on any ground set, without listing
+    # the 2^20 faces of its larger facet.
+    wide_cone = SimplicialComplex(many, [many[:-1], [1, 21]])
+    assert wide_cone.reduced_homology_dims() == (0,) * 21
+    assert closures == []
 
 
 def test_simplex_faces_count():

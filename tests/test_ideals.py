@@ -17,7 +17,7 @@ from hyperideal.ideals import (
     intersect_components,
     irredundant_filter,
 )
-from hyperideal.monomials import Monomial, compositions
+from hyperideal.monomials import Monomial, canonical_sorted, compositions
 
 
 def ideal_of(n, *vectors):
@@ -268,6 +268,9 @@ def test_irreducible_component_validation():
     for bad in ((1.5, 0), (True, 0), (2, "1")):
         with pytest.raises(ValueError, match="integers"):
             IrreducibleComponent(2, bad)
+    for bad_n in (2.0, True, 0):
+        with pytest.raises(ValueError, match="^ambient dimension must be a positive integer"):
+            IrreducibleComponent(bad_n, (1,) * int(bad_n))
     comp = IrreducibleComponent(3, (2, 2, 1))
     assert comp.support() == frozenset({1, 2, 3})
 
@@ -443,7 +446,7 @@ def test_intersect_components_rejects_mixed_ambients():
 @settings(max_examples=50)
 def test_trusted_ideal_equals_validated(ideal):
     vectors = [g.exponents for g in ideal.gens] * 2
-    trusted = MonomialIdeal._trusted(ideal.n, vectors)
+    trusted = MonomialIdeal._of_minimal(ideal.n, canonical_sorted(vectors))
     validated = MonomialIdeal.from_exponents(ideal.n, vectors)
     assert trusted == validated == ideal
     assert hash(trusted) == hash(validated)
