@@ -9,7 +9,9 @@ Koszul complex is built from its facets, at most one per generator
 dividing x^b, and handed to the homology module as such: a cone answers
 zeros there before any face is listed, and any other complex is ranked
 on itself or on the nerve of its facets, whichever side bounds fewer
-faces.
+faces.  The nerve fixes the homology, so one table ranks each distinct
+nerve once: a dict kept for the length of one ``betti_table`` call
+answers every later point with the same nerve and top facet size.
 """
 
 from __future__ import annotations
@@ -102,8 +104,11 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     if ideal.is_zero:
         raise ValueError("the zero ideal has no betti table")
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
+    # Most lattice points repeat a nerve ranked before; the memo lives for
+    # this call only.
+    memo: dict = {}
     for b in lcm_lattice(ideal):
-        for offset, dim in enumerate(koszul_complex(ideal, b).reduced_homology_dims(char)):
+        for offset, dim in enumerate(koszul_complex(ideal, b).reduced_homology_dims(char, memo)):
             if dim:
                 entries[(offset, b.exponents)] = dim
     return BettiTable(ideal.n, char, entries)

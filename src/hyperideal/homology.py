@@ -10,7 +10,10 @@ on its own faces, or on the nerve of its facets.  Each side is the closure
 of its generators (the facets, or the distinct vertex stars), so it lists
 at most the sum of 2^|g| over them; the side with the smaller sum is
 ranked.  Dowker's theorem (Dowker 1952; Bjorner, Topological methods,
-1995) gives both the same reduced homology over every field.
+1995) gives both the same reduced homology over every field.  So the
+distinct stars fix the homology, and a caller that ranks many complexes
+at one characteristic (a Betti table) can pass a dict that remembers the
+answer for each set of stars and rank each distinct nerve once.
 """
 
 from __future__ import annotations
@@ -166,20 +169,27 @@ class SimplicialComplex:
     def _faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         return _by_dim(_closure(self.facets))
 
-    def reduced_homology_dims(self, char: int = 0) -> tuple[int, ...]:
+    def reduced_homology_dims(
+        self, char: int = 0, memo: dict | None = None
+    ) -> tuple[int, ...]:
         """Dimensions of reduced homology, indexed from degree -1 upward,
         one entry per degree up to the top facet's dimension.
 
         Entry 0 of the result is the degree -1 homology; a void complex
         returns an empty tuple, a cone (facets sharing a vertex) zeros, on
         any ground set and before any face is listed.  Other complexes on
-        more than MAX_GROUND_VERTICES vertices are refused.  The ranks are
+        more than MAX_GROUND_VERTICES vertices are refused, except the
+        irrelevant complex, whose one face is listed.  The ranks are
         taken on the complex's own faces, or on the nerve of its facets
         (the complex on facet labels 1..k generated by the vertex stars
         {j : v in F_j}) when the distinct stars bound fewer faces than the
         facets do: the sum of 2^|star| against the sum of 2^|facet|.  By
         Dowker's theorem both have the same reduced homology over every
         field.
+
+        ``memo``, when given, maps (top facet size + 1, distinct stars) to
+        the answer and is read and filled after the guard; it serves one
+        characteristic only.
         """
         validate_characteristic(char)
         facets = self.facets
@@ -189,7 +199,7 @@ class SimplicialComplex:
         if set(facets[0]).intersection(*facets[1:]):
             return (0,) * width
         size = len(self.vertices)
-        if size > MAX_GROUND_VERTICES:
+        if size > MAX_GROUND_VERTICES and facets != ((),):
             raise GuardError(
                 f"ground set of size {size} exceeds the desk-scale limit {MAX_GROUND_VERTICES}"
             )
@@ -198,7 +208,11 @@ class SimplicialComplex:
             for v in facet:
                 stars.setdefault(v, []).append(j)
         # Vertices with equal stars give the nerve one generator.
-        nerve = set(map(tuple, stars.values()))
+        nerve = frozenset(map(tuple, stars.values()))
+        memo = {} if memo is None else memo
+        key = (width, nerve)
+        if key in memo:
+            return memo[key]
         if sum(1 << len(s) for s in nerve) < sum(1 << len(f) for f in facets):
             # The empty face is listed apart: no star holds it when no
             # vertex lies in a facet (the irrelevant complex).
@@ -211,17 +225,20 @@ class SimplicialComplex:
         ranks[-1] = 0
         ranks[top + 1] = 0
         dims = [counts[k] - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)]
-        return tuple(dims[:width]) + (0,) * (width - len(dims))
+        memo[key] = result = tuple(dims[:width]) + (0,) * (width - len(dims))
+        return result
 
 
 def _maximal(sets: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """The distinct inclusion-maximal sets among sorted vertex tuples, in
     sorted order."""
     kept: list[tuple[int, ...]] = []
+    kept_sets: list[frozenset[int]] = []
     for s in sorted(sets, key=len, reverse=True):
-        inside = set(s).issubset
-        if not any(inside(k) for k in kept):
+        inside = frozenset(s)
+        if not any(map(inside.issubset, kept_sets)):
             kept.append(s)
+            kept_sets.append(inside)
     return tuple(sorted(kept))
 
 

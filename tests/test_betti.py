@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperideal import homology
 from hyperideal.betti import (
+    MAX_GENERATORS,
     _signed_subset_counts,
     betti_table,
     euler_consistency_check,
@@ -13,8 +15,10 @@ from hyperideal.betti import (
     regularity,
 )
 from hyperideal.homology import GuardError, SimplicialComplex
+from hyperideal.hypergraphs import random_instance, restricted_dual, special_dual
 from hyperideal.ideals import MonomialIdeal
 from hyperideal.monomials import Monomial
+from hyperideal.stability import t_bound
 from test_homology import reference_reduced_homology
 
 MIXED = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)])
@@ -59,6 +63,43 @@ def nerve_side_ideals():
             max_size=6,
         ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
     ).filter(has_nerve_side_point)
+
+
+def chain_dual(d, s, extra, seed):
+    """The restricted dual of a random chain with s edges, as check ranks it."""
+    h = random_instance(2 + (s - 1) * d + extra, d, s, seed)
+    return restricted_dual(h, *special_dual(h))[1]
+
+
+def pure_power_truncation(a):
+    """(x_1^a_1, ..., x_n^a_n) truncated at t = sum(a) - max(a)."""
+    n = len(a)
+    powers = [tuple(a[i] if j == i else 0 for j in range(n)) for i in range(n)]
+    return MonomialIdeal.from_exponents(n, powers).truncate(t_bound(a))
+
+
+def repeated_nerve_ideals():
+    """Ideals many of whose lattice points share a Koszul nerve: restricted
+    chain duals with s <= 4, and pure-power truncations, each with at most
+    MAX_GENERATORS generators."""
+    chain_duals = st.builds(
+        chain_dual,
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    truncations = (
+        st.integers(min_value=2, max_value=5)
+        .flatmap(
+            lambda n: st.lists(st.integers(min_value=1, max_value=n - 1), min_size=n, max_size=n)
+        )
+        .filter(lambda a: t_bound(a) <= 6)
+        .map(pure_power_truncation)
+    )
+    return st.one_of(chain_duals, truncations).filter(
+        lambda ideal: len(ideal.gens) <= MAX_GENERATORS
+    )
 
 
 def koszul_by_frontier(ideal, b):
@@ -145,6 +186,37 @@ def test_cone_skipping_matches_every_point(ideal):
 def test_nerve_side_tables_match_reference(ideal):
     for char in (0, 2, 3):
         assert betti_table(ideal, char).entries == betti_entries_at_every_point(ideal, char)
+
+
+def test_each_table_ranks_each_nerve_once(monkeypatch):
+    ranks = []
+    original = homology.matrix_rank
+
+    def spy(rows, char=0):
+        ranks.append(char)
+        return original(rows, char)
+
+    monkeypatch.setattr(homology, "matrix_rank", spy)
+
+    @given(repeated_nerve_ideals())
+    @settings(max_examples=40)
+    def check(ideal):
+        non_cones = 0
+        for b in lcm_lattice(ideal):
+            facets = koszul_complex(ideal, b).facets
+            non_cones += not set(facets[0]).intersection(*facets[1:])
+        for char in (0, 2, 3):
+            ranks.clear()
+            assert betti_table(ideal, char).entries == betti_entries_at_every_point(ideal, char)
+            first = len(ranks)
+            assert first < non_cones
+            # A second table pays for its own ranks: nothing is kept
+            # from the first.
+            ranks.clear()
+            betti_table(ideal, char)
+            assert len(ranks) == first
+
+    check()
 
 
 def test_lcm_lattice_of_mixed_ideal():

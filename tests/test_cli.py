@@ -191,6 +191,18 @@ def test_reg_on_star_plus_edge(tmp_path, capsys):
     assert (code, out, err) == (0, "reg=19 (char 0)\n", "")
 
 
+def test_reg_on_wide_principal_ideal(tmp_path, capsys):
+    # x1*...*x21: its one lattice point has the irrelevant complex {∅} on
+    # 21 vertices, which lists its single face instead of being refused.
+    instance = tmp_path / "principal.json"
+    instance.write_text(json.dumps({"n": 21, "gens": [[1] * 21]}))
+    code, out, err = run(capsys, ["reg", str(instance)])
+    assert (code, out, err) == (0, "reg=21 (char 0)\n", "")
+    code, out, _ = run(capsys, ["check", str(instance)])
+    assert code == 0
+    assert "euler_consistency: pass" in out
+
+
 def test_dual_golden(in_repo_root, capsys):
     code, out, _ = run(capsys, ["dual", H0])
     assert code == 0

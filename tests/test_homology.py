@@ -350,6 +350,9 @@ def test_void_versus_irrelevant():
     irrelevant = SimplicialComplex([1, 2], [frozenset()])
     assert irrelevant.facets == ((),)
     assert irrelevant.reduced_homology_dims() == (1,)
+    # Its one face is listed on any ground set: the guard exempts it.
+    wide = SimplicialComplex(range(1, 22), [frozenset()])
+    assert wide.reduced_homology_dims() == (1,)
 
 
 def test_point_has_no_reduced_homology():
@@ -418,6 +421,29 @@ def test_ground_set_guard(closures):
     wide_cone = SimplicialComplex(many, [many[:-1], [1, 21]])
     assert wide_cone.reduced_homology_dims() == (0,) * 21
     assert closures == []
+
+
+def test_memo_key_pins_the_width():
+    # Two points and two disjoint edges share the nerve {(1,), (2,)}; the
+    # top facet size tells their answers apart.
+    points = SimplicialComplex([1, 2], [[1], [2]])
+    edges = SimplicialComplex([1, 2, 3, 4], [[1, 2], [3, 4]])
+    for first, second in ((points, edges), (edges, points)):
+        memo = {}
+        first.reduced_homology_dims(0, memo)
+        assert points.reduced_homology_dims(0, memo) == (0, 1)
+        assert edges.reduced_homology_dims(0, memo) == (0, 1, 0)
+        assert len(memo) == 2
+
+
+def test_guard_runs_before_the_memo():
+    memo = {}
+    assert SimplicialComplex([1, 2], [[1], [2]]).reduced_homology_dims(0, memo) == (0, 1)
+    # Same stars and width, so the same key, but on 21 vertices.
+    wide = SimplicialComplex(range(1, 22), [[1], [2]])
+    with pytest.raises(GuardError) as refused:
+        wide.reduced_homology_dims(0, memo)
+    assert str(refused.value) == "ground set of size 21 exceeds the desk-scale limit 20"
 
 
 def test_simplex_faces_count():
