@@ -15,14 +15,7 @@ from .hypergraphs import (
     restricted_dual,
     special_dual,
 )
-from .ideals import (
-    IrreducibleComponent,
-    MonomialIdeal,
-    alexander_dual,
-    dual_components,
-    intersect_components,
-    irredundant_filter,
-)
+from .ideals import MonomialIdeal, alexander_dual, irredundant_filter
 from .monomials import Monomial, compositions
 from .stability import (
     StabilityReport,
@@ -41,7 +34,6 @@ __all__ = [
     "ClaimResult",
     "GuardError",
     "IncreasingHypergraph",
-    "IrreducibleComponent",
     "Monomial",
     "MonomialIdeal",
     "SimplicialComplex",
@@ -54,10 +46,8 @@ __all__ = [
     "compositions",
     "containment_vector",
     "covered_restriction",
-    "dual_components",
     "euler_consistency_check",
     "inclusion_ideal",
-    "intersect_components",
     "irredundant_filter",
     "is_stable",
     "is_stable_exhaustive",

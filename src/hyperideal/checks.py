@@ -20,11 +20,7 @@ from .hypergraphs import (
     restricted_dual,
     special_dual,
 )
-from .ideals import (
-    MonomialIdeal,
-    alexander_dual,
-    irredundant_filter,
-)
+from .ideals import MonomialIdeal, alexander_dual, component_str, irredundant_filter
 from .monomials import Monomial
 from .stability import is_stable, pure_power_truncation_stable, q_bound, t_bound, truncation_stability
 
@@ -212,7 +208,7 @@ def run_hypergraph_checks(
     )
 
     irredundant = irredundant_filter(comps_r)
-    supports = {c.support() for c in irredundant}
+    supports = {frozenset(i for i, p in enumerate(v, 1) if p) for v in irredundant}
     edge_sets = {frozenset(e) for e in restricted.edges}
     # build_hypergraph checked that the edges are nested, so equal sets form a chain.
     claims.append(
@@ -229,8 +225,9 @@ def run_hypergraph_checks(
     trunc_report = truncation_stability(dual_r, t)
 
     # Component i of a restricted dual lists the powers i, i-1, ..., 1 on
-    # |E_i| >= i+1 vertices, so it meets the pure-power hypothesis.
-    component_exps = [comp.powers[: len(comp.support())] for comp in comps_r]
+    # |E_i| >= i+1 vertices, so it meets the pure-power hypothesis.  In
+    # canonical order its support is a prefix: its nonzero entries in order.
+    component_exps = [tuple(p for p in v if p) for v in comps_r]
     component_ts = ",".join(str(t_bound(exps)) for exps in component_exps)
     claims.append(
         _verdict(
@@ -304,7 +301,7 @@ def run_hypergraph_checks(
         "a": list(a),
         "ideal": str(ideal),
         "dual": str(dual),
-        "components": " | ".join(str(c) for c in comps),
+        "components": " | ".join(map(component_str, comps)),
         "deg": deg,
         "m": m,
         "t": t,
@@ -380,15 +377,10 @@ BENCH_COLUMNS = (
 )
 
 
-def bench_row(
-    instance_id: int,
-    h: IncreasingHypergraph,
-    char: int = 0,
-    skip_reg: bool = False,
-) -> dict:
-    """One flat result row per instance for the bench sweep; blank cells
-    mark quantities the oracle guard skipped."""
-    report = run_hypergraph_checks(h, char=char, skip_reg=skip_reg)
+def bench_row(instance_id: int, report: CheckReport) -> dict:
+    """One flat result row per instance for the bench sweep, read from the
+    instance's hypergraph report; blank cells mark quantities the oracle
+    guard skipped."""
     v = report.values
 
     def cell(name: str) -> str:

@@ -20,6 +20,7 @@ import sys
 from .betti import betti_table
 from .checks import (
     BENCH_COLUMNS,
+    FAIL,
     bench_row,
     run_hypergraph_checks,
     run_ideal_checks,
@@ -34,6 +35,7 @@ from .hypergraphs import (
     restricted_dual,
     special_dual,
 )
+from .ideals import component_str
 from .stability import q_bound, t_bound
 
 EXIT_PASS = 0
@@ -101,7 +103,7 @@ def cmd_dual(args) -> int:
         f"n={h.n} d={h.d} s={h.s}",
         "a=[" + ",".join(str(e) for e in a) + "]",
         f"ideal: {ideal}",
-        "components: " + " | ".join(str(c) for c in comps),
+        "components: " + " | ".join(map(component_str, comps)),
         f"dual: {dual}",
         f"deg={dual_r.deg()} m={dual_r.max_index()}",
         f"t={t_bound(a)} q={q_bound(dual_r)}",
@@ -179,13 +181,9 @@ def cmd_bench(args) -> int:
         n, s, d = rng.choice(triples)
         instance_seed = rng.randrange(2**32)
         h = random_instance(n, d, s, seed=instance_seed)
-        row = bench_row(instance_id, h, char=args.char, skip_reg=args.skip_reg)
-        writer.writerow(row)
-        failed = [
-            column
-            for column in ("reg_le_t", "t_le_q", "stable_at_t", "ass_chain")
-            if row[column] == "false"
-        ]
+        report = run_hypergraph_checks(h, char=args.char, skip_reg=args.skip_reg)
+        writer.writerow(bench_row(instance_id, report))
+        failed = [c.name for c in report.claims if c.status == FAIL]
         if failed:
             failures.append(
                 {

@@ -166,9 +166,6 @@ class SimplicialComplex:
             object.__setattr__(self, "_faces", frozenset(map(frozenset, _closure(self.facets))))
         return self._faces
 
-    def _faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        return _by_dim(_closure(self.facets))
-
     def reduced_homology_dims(
         self, char: int = 0, memo: dict | None = None
     ) -> tuple[int, ...]:
@@ -213,12 +210,12 @@ class SimplicialComplex:
         key = (width, nerve)
         if key in memo:
             return memo[key]
+        generators = facets
         if sum(1 << len(s) for s in nerve) < sum(1 << len(f) for f in facets):
-            # The empty face is listed apart: no star holds it when no
-            # vertex lies in a facet (the irrelevant complex).
-            by_dim = _by_dim(_closure([(), *nerve]))
-        else:
-            by_dim = self._faces_by_dim()
+            generators = nerve
+        # The empty face is listed apart: no star holds it when no vertex
+        # lies in a facet (the irrelevant complex).
+        by_dim = _by_dim(_closure([(), *generators]))
         top = max(by_dim)
         counts = {k: len(by_dim.get(k, [])) for k in range(-1, top + 1)}
         ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(0, top + 1)}

@@ -13,12 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .ideals import (
-    IrreducibleComponent,
-    MonomialIdeal,
-    dual_components,
-    intersect_components,
-)
+from .ideals import MonomialIdeal, _dual_powers, _intersect
 from .monomials import canonical_sorted
 
 
@@ -94,19 +89,20 @@ def inclusion_ideal(h: IncreasingHypergraph) -> MonomialIdeal:
 
 def special_dual(
     h: IncreasingHypergraph,
-) -> tuple[MonomialIdeal, tuple[IrreducibleComponent, ...]]:
+) -> tuple[MonomialIdeal, tuple[tuple[int, ...], ...]]:
     """Dual of the inclusion ideal with respect to the containment vector.
 
-    Returns the minimized dual together with its irreducible components in
-    edge order.  :func:`dual_components` checks every generator against
-    the containment bound; for a valid hypergraph this can never fail.
+    Returns the minimized dual together with its irreducible components,
+    as exponent vectors in edge order (support size ascending), the order
+    in which they are folded.
     """
-    a = containment_vector(h)
-    ideal = inclusion_ideal(h)
     comps = tuple(
-        sorted(dual_components(ideal, a), key=lambda c: len(c.support()))
+        sorted(
+            _dual_powers(inclusion_ideal(h), containment_vector(h)),
+            key=lambda v: len(v) - v.count(0),
+        )
     )
-    return intersect_components(comps), comps
+    return MonomialIdeal._of_minimal(h.n, _intersect(h.n, comps)), comps
 
 
 def canonical_vertex_order(
@@ -152,8 +148,8 @@ def covered_restriction(h: IncreasingHypergraph) -> IncreasingHypergraph:
 
 
 def restricted_dual(
-    h: IncreasingHypergraph, dual: MonomialIdeal, comps: tuple[IrreducibleComponent, ...]
-) -> tuple[IncreasingHypergraph, MonomialIdeal, tuple[IrreducibleComponent, ...]]:
+    h: IncreasingHypergraph, dual: MonomialIdeal, comps: tuple[tuple[int, ...], ...]
+) -> tuple[IncreasingHypergraph, MonomialIdeal, tuple[tuple[int, ...], ...]]:
     """The form in which every order-sensitive quantity is computed.
 
     Stability, q and the regularity oracle depend on the variable order,
@@ -162,7 +158,8 @@ def restricted_dual(
     dropped: ``dual, comps = special_dual(h)`` is relabeled, not recomputed.
     The canonical form is restricted in place; :func:`covered_restriction`
     is the checked stepwise equivalent.  Returns the restricted
-    hypergraph, its dual and the dual's components.
+    hypergraph, its dual and the dual's components; nothing derived here
+    is validated again.
     """
     canonical, perm = canonical_vertex_order(h)
     r = len(canonical.edges[-1])  # the covered vertices are 1..r
@@ -175,8 +172,7 @@ def restricted_dual(
     dual_r = MonomialIdeal._of_minimal(
         restricted.n, canonical_sorted(relabel(g.exponents) for g in dual.gens)
     )
-    comps_r = tuple(IrreducibleComponent(restricted.n, relabel(c.powers)) for c in comps)
-    return restricted, dual_r, comps_r
+    return restricted, dual_r, tuple(map(relabel, comps))
 
 
 def random_instance(n: int, d: int, s: int, seed: int) -> IncreasingHypergraph:
@@ -186,6 +182,8 @@ def random_instance(n: int, d: int, s: int, seed: int) -> IncreasingHypergraph:
     uniform 2-subset of 1..n and each later edge adds d vertices sampled
     without replacement from the unused ones.  Requires 2 + (s-1)*d <= n.
     """
+    if d < 1:
+        raise ValueError("increment d must be a positive integer")
     if s < 1:
         raise ValueError("edge count s must be positive")
     need = 2 + (s - 1) * d

@@ -3,14 +3,15 @@ respect to a degree vector.
 
 All operations are exact and deterministic: generators are kept minimized
 and sorted in the canonical order, so equal ideals have identical
-representations.  Duals and intersections of irreducible components go
-through one fold over exponent tuples, :func:`_intersect`, which keeps
-its running generators minimal at every step instead of minimizing them.
+representations.  An irreducible component m^v, the ideal generated by
+x_i^{v_i} for each v_i >= 1, is held as its exponent vector v.  Duals and
+intersections of components go through one fold over exponent tuples,
+:func:`_intersect`, which keeps its running generators minimal at every
+step instead of minimizing them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import gt
 from typing import Iterable, Sequence
@@ -26,6 +27,11 @@ MAX_TRUNCATION = 10**6
 # refuses as soon as it holds more.  An up-front estimate (the product of
 # the support sizes) would refuse ideals whose fold stays small.
 MAX_INTERSECTION = 10**5
+
+# Most generator-against-carrier scans one step of that fold may make:
+# _intersect estimates them as |running generators| times the carriers of
+# the component's support, and refuses before a step above it.
+MAX_FOLD_SCANS = 2 * 10**7
 
 
 def _minimize(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -198,38 +204,12 @@ class MonomialIdeal:
         return max(g.max_index() for g in self.gens)
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
-    """An ideal generated by pure variable powers, encoded as one vector.
-
-    Entry v_i >= 1 stands for the generator x_i^{v_i}; entry 0 means the
-    variable is absent.  At least one entry must be positive.
-    """
-
-    n: int
-    powers: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"ambient dimension must be a positive integer, got {self.n!r}")
-        powers = tuple(self.powers)
-        if len(powers) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(powers)}")
-        if any(type(p) is not int for p in powers):
-            raise ValueError(f"entries must be integers, got {powers!r}")
-        if any(p < 0 for p in powers):
-            raise ValueError("entries must be nonnegative")
-        if not any(p >= 1 for p in powers):
-            raise ValueError("an irreducible component needs a positive entry")
-        object.__setattr__(self, "powers", powers)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, p in enumerate(self.powers) if p >= 1)
-
-    def __str__(self) -> str:
-        """The pure powers in canonical order: power ascending, then index."""
-        order = sorted((p, i) for i, p in enumerate(self.powers, start=1) if p)
-        return ", ".join(f"x{i}^{p}" if p > 1 else f"x{i}" for p, i in order)
+def component_str(powers: Sequence[int]) -> str:
+    """The irreducible component m^v of the exponent vector ``powers``
+    (x_i^{v_i} for each v_i >= 1), as its pure powers in canonical order:
+    power ascending, then index."""
+    order = sorted((p, i) for i, p in enumerate(powers, start=1) if p)
+    return ", ".join(f"x{i}^{p}" if p > 1 else f"x{i}" for p, i in order)
 
 
 def _intersect(n: int, powers: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -244,12 +224,20 @@ def _intersect(n: int, powers: Sequence[tuple[int, ...]]) -> list[tuple[int, ...
     the next step exactly when no other generator h of this step divides
     it.  Such an h has h_i > g_i, so only the generators carrying x_i are
     scanned, indexed once per step and coordinate.  Raises ``GuardError``
-    as soon as a step holds more than ``MAX_INTERSECTION`` generators.
+    before a step whose scans, estimated as the generators times the
+    carriers of supp(v), exceed ``MAX_FOLD_SCANS``, and as soon as a step
+    holds more than ``MAX_INTERSECTION`` generators.
     """
     gens = [(0,) * n]
     for k, v in enumerate(powers, start=1):
         supp = [(i, p) for i, p in enumerate(v) if p]
         carriers = {i: [h for h in gens if h[i]] for i, _ in supp}
+        scans = len(gens) * sum(map(len, carriers.values()))
+        if scans > MAX_FOLD_SCANS:
+            raise GuardError(
+                f"intersection of {len(powers)} irreducible components: {scans:.2g} "
+                f"carrier scans at component {k} exceed the desk-scale limit {MAX_FOLD_SCANS}"
+            )
         step = []
         for g in gens:
             for i, p in supp:
@@ -273,18 +261,6 @@ def _intersect(n: int, powers: Sequence[tuple[int, ...]]) -> list[tuple[int, ...
                     )
         gens = step
     return canonical_sorted(gens)
-
-
-def intersect_components(components: Sequence[IrreducibleComponent]) -> MonomialIdeal:
-    """Intersect the components, folded in one at a time by
-    :func:`_intersect`."""
-    if not components:
-        raise ValueError("cannot intersect an empty list of components")
-    n = components[0].n
-    for comp in components:
-        if comp.n != n:
-            raise ValueError(f"ambient dimension mismatch: {n} vs {comp.n}")
-    return MonomialIdeal._of_minimal(n, _intersect(n, [comp.powers for comp in components]))
 
 
 def _dual_powers(ideal: MonomialIdeal, c: Sequence[int]) -> list[tuple[int, ...]]:
@@ -319,17 +295,9 @@ def alexander_dual(ideal: MonomialIdeal, c: Sequence[int]) -> MonomialIdeal:
     return MonomialIdeal._of_minimal(ideal.n, _intersect(ideal.n, _dual_powers(ideal, c)))
 
 
-def dual_components(ideal: MonomialIdeal, c: Sequence[int]) -> tuple[IrreducibleComponent, ...]:
-    """The irreducible components of the dual, one per minimal generator
-    x^g, in generator order: m^v with v_i = c_i + 1 - g_i where g_i >= 1
-    and v_i = 0 where g_i = 0.  Every generator must divide x^c."""
-    return tuple(IrreducibleComponent(ideal.n, v) for v in _dual_powers(ideal, c))
-
-
-def irredundant_filter(
-    components: Sequence[IrreducibleComponent],
-) -> list[IrreducibleComponent]:
-    """Remove components containing the intersection of the others.
+def irredundant_filter(components: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Remove components, given as exponent vectors, containing the
+    intersection of the others.
 
     The intersection of the surviving components equals the original
     intersection.  That intersection lies in the irreducible m^b exactly
@@ -341,8 +309,8 @@ def irredundant_filter(
     comps = list(components)
     i = 0
     while i < len(comps):
-        b = comps[i].powers
-        others = (zip(c.powers, b, strict=True) for c in comps[:i] + comps[i + 1 :])
+        b = comps[i]
+        others = (zip(c, b, strict=True) for c in comps[:i] + comps[i + 1 :])
         if any(all(1 <= bv <= cv for cv, bv in pairs if cv) for pairs in others):
             del comps[i]
         else:

@@ -74,7 +74,7 @@ def test_criterion_1_running_example_exact():
         }
 
         dual, comps = special_dual(h)
-        assert [c.powers for c in comps] == [
+        assert list(comps) == [
             (1, 1, 0, 0),
             (2, 2, 1, 0),
             (3, 3, 2, 1),

@@ -102,7 +102,7 @@ def test_ideal_checks_reject_trivial_ideals():
 
 
 def test_bench_row_shape():
-    row = bench_row(7, chain3())
+    row = bench_row(7, run_hypergraph_checks(chain3()))
     assert tuple(row) == BENCH_COLUMNS
     assert row["instance_id"] == 7
     assert row["reg"] == 3
@@ -113,7 +113,7 @@ def test_bench_row_shape():
 
 
 def test_bench_row_blank_reg_when_skipped():
-    row = bench_row(0, chain3(), skip_reg=True)
+    row = bench_row(0, run_hypergraph_checks(chain3(), skip_reg=True))
     assert row["reg"] == ""
     assert row["reg_le_t"] == ""
     assert row["stable_at_t"] == "true"
@@ -135,6 +135,6 @@ def test_restricted_dual_components_meet_the_pure_power_hypothesis(h):
     # component i lists the powers i, i-1, ..., 1 on |E_i| >= i+1 vertices.
     _, _, comps = restricted_dual(h, *special_dual(h))
     for i, comp in enumerate(comps, start=1):
-        exps = comp.powers[: len(comp.support())]
+        exps = tuple(p for p in comp if p)
         assert _check_pure_power_hypothesis(exps) == exps
         assert exps[0] == i and exps[-1] == 1 and len(exps) >= i + 1

@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from hyperideal import checks, cli, hypergraphs
+from hyperideal import checks, cli, hypergraphs, ideals
 from hyperideal.betti import betti_table
 from hyperideal.cli import main
 from hyperideal.formats import load_path
 from hyperideal.hypergraphs import canonical_vertex_order, covered_restriction, special_dual
+from hyperideal.ideals import MonomialIdeal
 
 H0 = "fixtures/chain_n4_s3.json"
 H1 = "fixtures/chain_n3_s2.json"
@@ -232,6 +233,24 @@ def test_bench_golden_and_determinism(in_repo_root, capsys):
     assert out1 == golden
 
 
+def test_bench_counts_every_failed_claim(in_repo_root, capsys, monkeypatch):
+    # A wrong double dual fails dual_involution, which no CSV column shows.
+    argv = ["bench", "--count", "3", "--seed", "7"]
+    code, expected_csv, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(
+        checks, "alexander_dual", lambda ideal, c: MonomialIdeal.from_exponents(len(c), [c])
+    )
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == expected_csv
+    failures = [json.loads(line) for line in err.splitlines()]
+    assert [f["instance_id"] for f in failures] == [0, 1, 2]
+    for failure in failures:
+        assert list(failure) == ["instance_id", "n", "s", "d", "seed", "failed"]
+        assert failure["failed"] == ["dual_involution"]
+
+
 def test_bench_header_only(in_repo_root, capsys):
     code, out, _ = run(capsys, ["bench", "--count", "0"])
     assert code == 0
@@ -309,6 +328,38 @@ def test_check_refuses_disjoint_quadrics(tmp_path, capsys):
     )
 
 
+def test_dual_refuses_a_crawling_fold(tmp_path, capsys):
+    # The d=2 chain with s=10 has 2*3^9 = 39,366 dual generators, under the
+    # size limit; its ninth fold step would scan about 1.1e8 carriers.
+    instance = tmp_path / "h.json"
+    argv = ["gen", "--n", "20", "--s", "10", "--d", "2", "--seed", "1", "--out", str(instance)]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, ["dual", str(instance)])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "guard: intersection of 10 irreducible components: 1.1e+08 carrier scans "
+        "at component 9 exceed the desk-scale limit 20000000\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["dual"], ["check", "--skip-reg"], ["reg"]])
+def test_fold_scan_guard_refuses_every_command(tmp_path, capsys, monkeypatch, command):
+    # The d=2 chain with s=7 estimates 96,228 scans before its sixth step
+    # and 1,023,516 before its seventh.
+    instance = tmp_path / "h.json"
+    argv = ["gen", "--n", "14", "--s", "7", "--d", "2", "--seed", "1", "--out", str(instance)]
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(ideals, "MAX_FOLD_SCANS", 10**5)
+    code, out, err = run(capsys, [*command, str(instance)])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "guard: intersection of 7 irreducible components: 1e+06 carrier scans "
+        "at component 7 exceed the desk-scale limit 100000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "gens, detail",
     [
@@ -359,6 +410,21 @@ def test_parser_built_once_across_calls(in_repo_root, capsys, monkeypatch):
         assert code == 0
         assert out == (in_repo_root / "fixtures/golden" / golden).read_text()
     assert builds == [1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "5", "--s", "2", "--d", "-1"],
+        ["gen", "--n", "5", "--s", "2", "--d", "0"],
+        ["bench", "--d-set", "-1"],
+    ],
+)
+def test_nonpositive_increment_is_an_input_error(in_repo_root, capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: increment d must be a positive integer\n"
 
 
 def test_gen_infeasible(in_repo_root, capsys):

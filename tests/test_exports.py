@@ -28,6 +28,9 @@ def test_every_exported_name_resolves():
         (formats, "hypergraph_to_dict"),
         (formats, "ideal_to_dict"),
         (BettiTable, "total"),
+        (hyperideal.ideals, "IrreducibleComponent"),
+        (hyperideal.ideals, "intersect_components"),
+        (hyperideal.ideals, "dual_components"),
     ],
 )
 def test_removed_names_stay_gone(owner, name):

@@ -79,7 +79,7 @@ def test_special_dual_chain():
         ],
     )
     assert dual == expected
-    assert [c.powers for c in comps] == [
+    assert list(comps) == [
         (1, 1, 0, 0),
         (2, 2, 1, 0),
         (3, 3, 2, 1),
@@ -91,6 +91,42 @@ def test_dual_involution_on_chain():
     a = containment_vector(h)
     dual, _ = special_dual(h)
     assert alexander_dual(dual, a) == inclusion_ideal(h)
+
+
+@st.composite
+def chains_with_free_vertices(draw):
+    """Chains with up to five edges and up to three edge-free vertices."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    s = draw(st.integers(min_value=1, max_value=5 if d < 3 else 4))
+    need = 2 + (s - 1) * d
+    n = draw(st.integers(min_value=need, max_value=need + 3))
+    return random_instance(n, d, s, seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+@given(chains_with_free_vertices())
+@settings(max_examples=80)
+def test_special_dual_is_the_alexander_dual_of_the_inclusion_ideal(h):
+    # The same components folded in edge order and in generator order.
+    dual, _ = special_dual(h)
+    assert dual == alexander_dual(inclusion_ideal(h), containment_vector(h))
+
+
+@given(chains_with_free_vertices())
+@settings(max_examples=80)
+def test_restricted_components_follow_the_block_formula(h):
+    # With blocks B_1 = E_1 and B_k = E_k \ E_(k-1), component i carries
+    # the power i-k+1 on B_k for every k <= i and 0 on the later blocks.
+    restricted, _, comps = restricted_dual(h, *special_dual(h))
+    block_of = {}
+    for k, edge in enumerate(restricted.edges, start=1):
+        for v in edge:
+            block_of.setdefault(v, k)
+    assert len(comps) == restricted.s
+    for i, comp in enumerate(comps, start=1):
+        expected = tuple(
+            i - block_of[v] + 1 if block_of[v] <= i else 0 for v in range(1, restricted.n + 1)
+        )
+        assert comp == expected
 
 
 def test_canonical_order_sorts_blocks():
@@ -174,7 +210,7 @@ def test_restricted_dual_drops_edge_free_vertices():
     restricted, dual, comps = restricted_dual(h, *special_dual(h))
     assert restricted.n == dual.n == 3
     assert restricted.edges == (frozenset({1, 2}), frozenset({1, 2, 3}))
-    assert [c.n for c in comps] == [3, 3]
+    assert [len(c) for c in comps] == [3, 3]
 
 
 def test_restricted_dual_orders_vertices_once(monkeypatch):

@@ -9,12 +9,12 @@ from hyperideal import ideals
 from hyperideal.homology import GuardError
 from hyperideal.ideals import (
     MAX_TRUNCATION,
-    IrreducibleComponent,
     MonomialIdeal,
+    _dual_powers,
+    _intersect,
     _minimize,
     alexander_dual,
-    dual_components,
-    intersect_components,
+    component_str,
     irredundant_filter,
 )
 from hyperideal.monomials import Monomial, canonical_sorted, compositions
@@ -24,12 +24,19 @@ def ideal_of(n, *vectors):
     return MonomialIdeal.from_exponents(n, vectors)
 
 
-def component_ideal(comp):
-    """The validated pure-power ideal of an irreducible component."""
+def component_ideal(powers):
+    """The validated pure-power ideal of the irreducible component with
+    exponent vector ``powers``."""
+    n = len(powers)
     return MonomialIdeal.from_exponents(
-        comp.n,
-        (tuple(p if k == i else 0 for k in range(comp.n)) for i, p in enumerate(comp.powers) if p),
+        n, (tuple(p if k == i else 0 for k in range(n)) for i, p in enumerate(powers) if p)
     )
+
+
+def fold(components):
+    """The ideal the package's fold builds from component vectors."""
+    n = len(components[0])
+    return MonomialIdeal._of_minimal(n, _intersect(n, components))
 
 
 def intersect(a, b):
@@ -40,14 +47,13 @@ def intersect(a, b):
 
 
 def reference_intersect(components):
-    """The fold ``intersect_components`` used to run: a generator g of the
-    running intersection that lies in the next component m^v is kept, any
-    other is replaced by g with x_i raised to v_i for each i in supp(v),
-    and the candidates are minimized before every step."""
-    n = components[0].n
+    """The fold the package used to run: a generator g of the running
+    intersection that lies in the next component m^v is kept, any other
+    is replaced by g with x_i raised to v_i for each i in supp(v), and the
+    candidates are minimized before every step."""
+    n = len(components[0])
     cands = [(0,) * n]
-    for comp in components:
-        v = comp.powers
+    for v in components:
         supp = [i for i, p in enumerate(v) if p >= 1]
         gens, cands = _minimize(cands), []
         for g in gens:
@@ -67,7 +73,7 @@ def reference_irredundant_filter(components):
         changed = False
         for i in range(len(comps)):
             rest = reference_intersect(comps[:i] + comps[i + 1 :])
-            b = comps[i].powers
+            b = comps[i]
             if all(any(p >= 1 and e >= p for e, p in zip(g.exponents, b)) for g in rest.gens):
                 del comps[i]
                 changed = True
@@ -254,25 +260,9 @@ def test_deg_max_index_support():
 
 def test_dual_components_complement_generators():
     ideal = ideal_of(4, (3, 3, 0, 0), (1, 1, 1, 1))
-    comps = dual_components(ideal, (3, 3, 2, 1))
-    assert [c.powers for c in comps] == [(3, 3, 2, 1), (1, 1, 0, 0)]
+    assert _dual_powers(ideal, (3, 3, 2, 1)) == [(3, 3, 2, 1), (1, 1, 0, 0)]
     with pytest.raises(ValueError, match="length"):
-        dual_components(ideal_of(2, (1, 1)), (1, 1, 1))
-
-
-def test_irreducible_component_validation():
-    with pytest.raises(ValueError):
-        IrreducibleComponent(2, (0, 0))
-    with pytest.raises(ValueError):
-        IrreducibleComponent(2, (1,))
-    for bad in ((1.5, 0), (True, 0), (2, "1")):
-        with pytest.raises(ValueError, match="integers"):
-            IrreducibleComponent(2, bad)
-    for bad_n in (2.0, True, 0):
-        with pytest.raises(ValueError, match="^ambient dimension must be a positive integer"):
-            IrreducibleComponent(bad_n, (1,) * int(bad_n))
-    comp = IrreducibleComponent(3, (2, 2, 1))
-    assert comp.support() == frozenset({1, 2, 3})
+        _dual_powers(ideal_of(2, (1, 1)), (1, 1, 1))
 
 
 def test_dual_of_two_generator_ideal():
@@ -285,10 +275,6 @@ def test_dual_rejects_generator_outside_box():
     ideal = ideal_of(2, (3, 0))
     with pytest.raises(ValueError):
         alexander_dual(ideal, (2, 2))
-    with pytest.raises(ValueError):
-        dual_components(MonomialIdeal(2), (1, 1))
-    with pytest.raises(ValueError):
-        dual_components(ideal_of(2, (0, 0)), (1, 1))
 
 
 @given(small_ideals())
@@ -302,11 +288,11 @@ def test_dual_involution_with_cap(ideal):
 
 
 def test_irredundant_filter_drops_superfluous_component():
-    keep = [IrreducibleComponent(3, (1, 1, 0)), IrreducibleComponent(3, (2, 2, 1))]
-    padded = keep + [IrreducibleComponent(3, (1, 1, 1))]
+    keep = [(1, 1, 0), (2, 2, 1)]
+    padded = keep + [(1, 1, 1)]
     filtered = irredundant_filter(padded)
     assert filtered == keep
-    assert intersect_components(filtered) == intersect_components(padded)
+    assert fold(filtered) == fold(padded)
     doubled = [keep[0], keep[1], keep[0]]
     assert irredundant_filter(doubled) == [keep[1], keep[0]]
 
@@ -324,7 +310,7 @@ def components_lists(n_max=5):
         lambda n: st.lists(
             st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
             .filter(any)
-            .map(lambda v: IrreducibleComponent(n, tuple(v))),
+            .map(tuple),
             min_size=1,
             max_size=6,
         )
@@ -345,14 +331,14 @@ def test_irredundant_filter_matches_restart_scan(components):
 @settings(max_examples=80)
 def test_intersect_components_matches_pairwise_lcm(components):
     reference = reduce(intersect, map(component_ideal, components))
-    assert intersect_components(components) == reference
+    assert fold(components) == reference
 
 
 @given(components_lists())
 @settings(max_examples=80)
 def test_component_str_matches_pure_power_ideal(components):
-    for comp in components:
-        assert str(comp) == str(component_ideal(comp))
+    for v in components:
+        assert component_str(v) == str(component_ideal(v))
 
 
 def fold_lists(n_max=7, max_size=10):
@@ -363,7 +349,7 @@ def fold_lists(n_max=7, max_size=10):
         lambda n: st.lists(
             st.lists(entries, min_size=n, max_size=n)
             .filter(any)
-            .map(lambda v: IrreducibleComponent(n, tuple(v))),
+            .map(tuple),
             min_size=1,
             max_size=max_size,
         ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
@@ -374,7 +360,7 @@ def fold_lists(n_max=7, max_size=10):
 @settings(max_examples=300)
 def test_intersect_components_matches_reference_fold(components):
     # Equal ideals have equal generator tuples in canonical order.
-    assert intersect_components(components) == reference_intersect(components)
+    assert fold(components) == reference_intersect(components)
 
 
 def disjoint_quadrics(k):
@@ -387,9 +373,9 @@ def test_disjoint_quadrics_dual_and_double_dual():
         ideal, c = disjoint_quadrics(k), (1,) * (2 * k)
         dual = alexander_dual(ideal, c)
         assert len(dual.gens) == 2**k
-        assert dual == reference_intersect(dual_components(ideal, c))
+        assert dual == reference_intersect(_dual_powers(ideal, c))
         double = alexander_dual(dual, c)
-        assert double == reference_intersect(dual_components(dual, c)) == ideal
+        assert double == reference_intersect(_dual_powers(dual, c)) == ideal
 
 
 @given(small_ideals(n_max=6), st.data())
@@ -397,7 +383,7 @@ def test_disjoint_quadrics_dual_and_double_dual():
 def test_alexander_dual_matches_components_and_reference_fold(ideal, data):
     cap = [max(g.exponents[i] for g in ideal.gens) for i in range(ideal.n)]
     c = tuple(m + data.draw(st.integers(min_value=0, max_value=1)) for m in cap)
-    assert alexander_dual(ideal, c) == reference_intersect(dual_components(ideal, c))
+    assert alexander_dual(ideal, c) == reference_intersect(_dual_powers(ideal, c))
 
 
 @pytest.mark.parametrize(
@@ -415,10 +401,9 @@ def test_alexander_dual_matches_components_and_reference_fold(ideal, data):
 def test_dual_errors_identical_and_in_order(ideal, c, message):
     # Each input also breaks every later rule, so the first rule broken
     # is the one reported.
-    for dual in (alexander_dual, dual_components):
-        with pytest.raises(ValueError) as exc:
-            dual(ideal, c)
-        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        alexander_dual(ideal, c)
+    assert str(exc.value) == message
 
 
 def test_intersection_guard(monkeypatch):
@@ -434,12 +419,25 @@ def test_intersection_guard(monkeypatch):
         "exceed the desk-scale limit 15"
     )
     with pytest.raises(GuardError):
-        intersect_components(dual_components(ideal, c))
+        fold(_dual_powers(ideal, c))
 
 
-def test_intersect_components_rejects_mixed_ambients():
-    with pytest.raises(ValueError, match="ambient"):
-        intersect_components([IrreducibleComponent(2, (1, 1)), IrreducibleComponent(3, (1, 0, 2))])
+def test_fold_scan_guard(monkeypatch):
+    # The dual of the 4-vertex chain folds (1,1,0,0), (2,2,1,0), (3,3,2,1).
+    # Before the last step it holds 4 generators, 6 carrier entries on
+    # the component's support: 24 estimated scans.  The disjoint quadrics
+    # have no carriers, so only the size guard can stop them.
+    comps = [(1, 1, 0, 0), (2, 2, 1, 0), (3, 3, 2, 1)]
+    monkeypatch.setattr(ideals, "MAX_FOLD_SCANS", 24)
+    assert fold(comps) == reference_intersect(comps)
+    assert len(fold(_dual_powers(disjoint_quadrics(8), (1,) * 16)).gens) == 2**8
+    monkeypatch.setattr(ideals, "MAX_FOLD_SCANS", 23)
+    with pytest.raises(GuardError) as exc:
+        fold(comps)
+    assert str(exc.value) == (
+        "intersection of 3 irreducible components: 24 carrier scans at component 3 "
+        "exceed the desk-scale limit 23"
+    )
 
 
 @given(small_ideals())
