@@ -33,13 +33,13 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
     its join with every lcm found before it."""
     if ideal.is_zero:
         raise ValueError("the zero ideal has no lcm lattice")
-    if len(ideal.gens) > MAX_GENERATORS:
+    if len(ideal._exps) > MAX_GENERATORS:
         raise GuardError(
-            f"{len(ideal.gens)} generators exceed the desk-scale limit "
+            f"{len(ideal._exps)} generators exceed the desk-scale limit "
             f"{MAX_GENERATORS}"
         )
     seen: set[tuple[int, ...]] = set()
-    for g in [m.exponents for m in ideal.gens]:
+    for g in ideal._exps:
         seen |= {tuple(map(max, b, g)) for b in seen}
         seen.add(g)
     return [Monomial._trusted(e) for e in canonical_sorted(seen)]
@@ -130,7 +130,7 @@ def _signed_subset_counts(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
     2^g subsets but linear in generators times lattice size.
     """
     counts: dict[tuple[int, ...], int] = {}
-    for g in [m.exponents for m in ideal.gens]:
+    for g in ideal._exps:
         updated = dict(counts)
         updated[g] = updated.get(g, 0) + 1
         for b, value in counts.items():

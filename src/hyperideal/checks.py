@@ -220,8 +220,8 @@ def run_hypergraph_checks(
         )
     )
 
-    # The last component is x_v^{a_v} on every covered vertex, so the
-    # dual's truncation bounds every component's: its guard fires first.
+    # The dual's truncation is the only one listed, so only it can meet
+    # the truncation guard; the component claim walks each box instead.
     trunc_report = truncation_stability(dual_r, t)
 
     # Component i of a restricted dual lists the powers i, i-1, ..., 1 on

@@ -176,29 +176,28 @@ def cmd_bench(args) -> int:
     buffer.write(BENCH_SCHEMA_COMMENT + "\n")
     writer = csv.DictWriter(buffer, fieldnames=BENCH_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    failures = []
+    records = []  # one stderr line per guarded or failing instance
     for instance_id in range(args.count):
         n, s, d = rng.choice(triples)
         instance_seed = rng.randrange(2**32)
         h = random_instance(n, d, s, seed=instance_seed)
-        report = run_hypergraph_checks(h, char=args.char, skip_reg=args.skip_reg)
+        record = {"instance_id": instance_id, "n": n, "s": s, "d": d, "seed": instance_seed}
+        try:
+            report = run_hypergraph_checks(h, char=args.char, skip_reg=args.skip_reg)
+        except GuardError as exc:
+            writer.writerow({"instance_id": instance_id, "n": n, "s": s, "d": d})
+            records.append({**record, "guard": str(exc)})
+            continue
         writer.writerow(bench_row(instance_id, report))
         failed = [c.name for c in report.claims if c.status == FAIL]
         if failed:
-            failures.append(
-                {
-                    "instance_id": instance_id,
-                    "n": n,
-                    "s": s,
-                    "d": d,
-                    "seed": instance_seed,
-                    "failed": failed,
-                }
-            )
+            records.append({**record, "failed": failed})
     _emit(buffer.getvalue(), args.out)
-    for failure in failures:
-        sys.stderr.write(json.dumps(failure) + "\n")
-    return EXIT_FAIL if failures else EXIT_PASS
+    for record in records:
+        sys.stderr.write(json.dumps(record) + "\n")
+    if any("failed" in record for record in records):
+        return EXIT_FAIL
+    return EXIT_GUARD if records else EXIT_PASS
 
 
 def cmd_gen(args) -> int:

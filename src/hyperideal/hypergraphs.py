@@ -170,7 +170,7 @@ def restricted_dual(
         return tuple(e[v] for v in covered)
 
     dual_r = MonomialIdeal._of_minimal(
-        restricted.n, canonical_sorted(relabel(g.exponents) for g in dual.gens)
+        restricted.n, canonical_sorted(map(relabel, dual._exps))
     )
     return restricted, dual_r, tuple(map(relabel, comps))
 

@@ -102,7 +102,7 @@ class MonomialIdeal:
     reject them.
     """
 
-    __slots__ = ("n", "gens", "_exps")
+    __slots__ = ("n", "_exps", "_gens")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
         if n < 1:
@@ -124,8 +124,15 @@ class MonomialIdeal:
 
     def _fill(self, n: int, minimal: list[tuple[int, ...]]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", tuple(map(Monomial._trusted, minimal)))
         object.__setattr__(self, "_exps", tuple(minimal))
+        object.__setattr__(self, "_gens", None)
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as monomials, wrapped on first read."""
+        if self._gens is None:
+            object.__setattr__(self, "_gens", tuple(map(Monomial._trusted, self._exps)))
+        return self._gens
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
@@ -136,19 +143,19 @@ class MonomialIdeal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._exps
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit()
+        return len(self._exps) == 1 and not any(self._exps[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.n == other.n and self.gens == other.gens
+        return self.n == other.n and self._exps == other._exps
 
     def __hash__(self) -> int:
-        return hash((self.n, self.gens))
+        return hash((self.n, self._exps))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.n}, {list(self.gens)!r})"
@@ -195,7 +202,7 @@ class MonomialIdeal:
         """Highest degree among the minimal generators."""
         if self.is_zero:
             raise ValueError("degree of the zero ideal is undefined")
-        return max(g.degree() for g in self.gens)
+        return max(map(sum, self._exps))
 
     def max_index(self) -> int:
         """Largest variable index occurring in any minimal generator."""
@@ -278,9 +285,11 @@ def _dual_powers(ideal: MonomialIdeal, c: Sequence[int]) -> list[tuple[int, ...]
     if len(c) != ideal.n:
         raise ValueError(f"degree vector length {len(c)} != ambient {ideal.n}")
     Monomial(c)  # raises on an entry that is not a nonnegative integer
-    for g, e in zip(ideal.gens, ideal._exps):
+    for e in ideal._exps:
         if any(map(gt, e, c)):
-            raise ValueError(f"generator {g} does not divide x^c with c={list(c)}")
+            raise ValueError(
+                f"generator {Monomial._trusted(e)} does not divide x^c with c={list(c)}"
+            )
     return [tuple([ci + 1 - gi if gi else 0 for ci, gi in zip(c, e)]) for e in ideal._exps]
 
 

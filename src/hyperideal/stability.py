@@ -55,13 +55,16 @@ def _witness(
     the largest gap, so its scan stops there.  The shifts x_j * u / x_m
     are built in place from one copy of u with x_m removed.  When u / x_m
     itself is a member, every shift is its multiple, so one membership
-    test settles u and the scan is skipped.
+    test settles u and the scan is skipped.  Generators are read as
+    exponent tuples; only the witness's is wrapped in a Monomial.
     """
     best: Optional[StabilityWitness] = None
     best_key = None
-    for pos, u in enumerate(candidates.gens):
-        m = u.max_index()
-        exps = list(u.exponents)
+    for pos, u in enumerate(candidates._exps):
+        m = len(u)
+        while not u[m - 1]:
+            m -= 1
+        exps = list(u)
         exps[m - 1] -= 1
         if members.contains(Monomial._trusted(tuple(exps))):
             continue
@@ -73,7 +76,7 @@ def _witness(
                 key = (-(m - j), j, pos)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best = StabilityWitness(u, j, shifted)
+                    best = StabilityWitness(Monomial._trusted(u), j, shifted)
                 break
     return best
 
@@ -144,20 +147,63 @@ def _check_pure_power_hypothesis(exponents: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def pure_power_truncation_stable(exponents: Sequence[int]) -> bool:
-    """Build (x_1^{a_1}, ..., x_n^{a_n}) with n-1 >= a_1 >= ... >= a_n >= 1,
-    truncate at t = sum - max, and test stability.
+def _box_compositions(total: int, caps: Sequence[int]):
+    """Yield every tuple v with 0 <= v_i <= caps[i] summing to ``total``.
 
-    Membership of a shifted degree-t monomial in the truncation reduces to
-    membership in the pure-power ideal itself, which keeps the check fast
-    even when the truncation has many generators.
+    The first coordinate takes only the values that leave a total the
+    later coordinates can still hold, so no branch is abandoned.
     """
-    a = _check_pure_power_hypothesis(exponents)
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    rest = sum(caps[1:])
+    for head in range(max(0, total - rest), min(caps[0], total) + 1):
+        for tail in _box_compositions(total - head, caps[1:]):
+            yield (head,) + tail
+
+
+def _box_stable(a: Sequence[int], t: int) -> bool:
+    """Whether (x_1^{a_1}, ..., x_n^{a_n}), exponents >= 1 in any order,
+    truncated at degree t >= max(a) is stable, decided without listing
+    the truncation.
+
+    Since no generator lies above t, the truncation's generators are its
+    degree-t members.  :func:`_witness` skips a member u whose u / x_m is
+    a member, so it scans only u = x_m * v with v a standard monomial
+    (v_i < a_i for every i) of degree t - 1, m >= m(v) and x_m * v in the
+    ideal; the shifts of u are x_j * v for j < m.  The walk lists those v
+    in the box and decides each membership with the ideal's ``contains``.
+    """
     n = len(a)
     ideal = MonomialIdeal._of_minimal(
         n, canonical_sorted((0,) * i + (a[i],) + (0,) * (n - i - 1) for i in range(n))
     )
-    return _witness(ideal.truncate(sum(a) - a[0]), ideal) is None
+
+    def times(v: tuple[int, ...], k: int) -> Monomial:  # x_{k+1} * v
+        return Monomial._trusted(v[:k] + (v[k] + 1,) + v[k + 1 :])
+
+    for v in _box_compositions(t - 1, [e - 1 for e in a]):
+        top = max((i for i, e in enumerate(v) if e), default=0)  # m(v) - 1, or 0 at v = 1
+        for m in range(top, n):
+            if ideal.contains(times(v, m)) and not all(
+                ideal.contains(times(v, j)) for j in range(m)
+            ):
+                return False
+    return True
+
+
+def pure_power_truncation_stable(exponents: Sequence[int]) -> bool:
+    """Test that (x_1^{a_1}, ..., x_n^{a_n}) with n-1 >= a_1 >= ... >= a_n >= 1,
+    truncated at t = sum - max, is stable.
+
+    The hypothesis gives t >= n - 1 >= a_1 = max(a), so
+    :func:`_box_stable` decides it on the box of standard monomials.
+    There the degree t - 1 holds at most the corner (a_i - 1), reached
+    only when a_1 = n - 1, so the walk makes O(n^2) membership tests.
+    """
+    a = _check_pure_power_hypothesis(exponents)
+    return _box_stable(a, sum(a) - a[0])
 
 
 def truncation_stability(ideal: MonomialIdeal, t: int) -> StabilityReport:

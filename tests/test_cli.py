@@ -251,6 +251,38 @@ def test_bench_counts_every_failed_claim(in_repo_root, capsys, monkeypatch):
         assert failure["failed"] == ["dual_involution"]
 
 
+def test_bench_writes_a_blank_row_for_a_guarded_instance(in_repo_root, capsys, monkeypatch):
+    # Instances 1 and 2 meet the truncation guard (t=36 in 12 variables).
+    argv = ["bench", "--n-range", "14:14", "--s-range", "2:7", "--d-set", "2"]
+    code, out, err = run(capsys, [*argv, "--count", "3", "--seed", "3"])
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[2:] == [
+        "0,14,3,2,9,13,3,6,7,true,true,true,true",
+        "1,14,6,2,,,,,,,,,",
+        "2,14,6,2,,,,,,,,,",
+    ]
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [r["instance_id"] for r in records] == [1, 2]
+    for record in records:
+        assert list(record) == ["instance_id", "n", "s", "d", "seed", "guard"]
+        assert record["guard"].startswith("truncation at t=36 in n=12 variables:")
+    # A claim failure outranks a guard.
+    monkeypatch.setattr(
+        checks, "alexander_dual", lambda ideal, c: MonomialIdeal.from_exponents(len(c), [c])
+    )
+    code, failing_out, err = run(capsys, [*argv, "--count", "3", "--seed", "3"])
+    assert code == 1
+    assert failing_out == out
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [(r["instance_id"], "failed" in r, "guard" in r) for r in records] == [
+        (0, True, False),
+        (1, False, True),
+        (2, False, True),
+    ]
+
+
 def test_bench_header_only(in_repo_root, capsys):
     code, out, _ = run(capsys, ["bench", "--count", "0"])
     assert code == 0

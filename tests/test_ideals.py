@@ -305,6 +305,19 @@ def test_ideal_equality_and_hash():
     assert str(a) == "x1, x2"
 
 
+def test_gens_wrapped_once_on_first_read():
+    ideal = ideal_of(3, (2, 0, 0), (0, 1, 1))
+    cut = ideal.truncate(3)
+    assert cut._gens is None  # truncate, ==, hash and deg read exponent tuples
+    assert cut == ideal.truncate(3) and hash(cut) == hash(ideal.truncate(3))
+    assert (cut.deg(), cut.is_zero, cut.is_unit) == (3, False, False)
+    assert cut._gens is None
+    assert cut.gens is cut.gens
+    assert [g.exponents for g in cut.gens] == list(cut._exps)
+    with pytest.raises(AttributeError):
+        cut.gens = ()
+
+
 def components_lists(n_max=5):
     return st.integers(min_value=1, max_value=n_max).flatmap(
         lambda n: st.lists(

@@ -9,6 +9,8 @@ from hyperideal.ideals import MonomialIdeal
 from hyperideal.monomials import Monomial
 from hyperideal.stability import (
     StabilityWitness,
+    _box_stable,
+    _witness,
     is_stable,
     is_stable_exhaustive,
     pure_power_truncation_stable,
@@ -230,6 +232,32 @@ def test_pure_power_matches_reference_on_every_small_vector():
             assert pure_power_truncation_stable(a) == reference_pure_power_stable(a)
             checked += 1
     assert checked == 1 + 4 + 15 + 56
+
+
+def test_box_walk_matches_witness_on_every_small_box():
+    # Any order of exponents in 1..4, n <= 4, every t from max(a) to sum(a).
+    verdicts = []
+    for n in range(1, 5):
+        for a in itertools.product(range(1, 5), repeat=n):
+            ideal = MonomialIdeal.from_exponents(
+                n, (tuple(a[i] if k == i else 0 for k in range(n)) for i in range(n))
+            )
+            for t in range(max(a), sum(a) + 1):
+                expected = _witness(ideal.truncate(t), ideal) is None
+                assert _box_stable(a, t) == expected, (a, t)
+                verdicts.append(expected)
+    assert len(verdicts) == 2264
+    assert verdicts.count(False) == 1012
+
+
+def test_pure_power_never_lists_the_truncation(monkeypatch):
+    def refuse(self, t):
+        raise AssertionError("truncate called")
+
+    monkeypatch.setattr(MonomialIdeal, "truncate", refuse)
+    for n in range(2, 8):
+        for a in itertools.combinations_with_replacement(range(n - 1, 0, -1), n):
+            assert pure_power_truncation_stable(a)
 
 
 def test_pure_power_hypothesis_errors():
