@@ -16,7 +16,7 @@ from .hypergraphs import (
     special_dual,
 )
 from .ideals import MonomialIdeal, alexander_dual, irredundant_filter
-from .monomials import Monomial, compositions
+from .monomials import Monomial
 from .stability import (
     StabilityReport,
     StabilityWitness,
@@ -43,7 +43,6 @@ __all__ = [
     "betti_table",
     "build_hypergraph",
     "canonical_vertex_order",
-    "compositions",
     "containment_vector",
     "covered_restriction",
     "euler_consistency_check",

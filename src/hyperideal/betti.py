@@ -22,15 +22,15 @@ from operator import gt, lt
 
 from .homology import GuardError, SimplicialComplex, _maximal, validate_characteristic
 from .ideals import MonomialIdeal
-from .monomials import Monomial, canonical_sorted
+from .monomials import canonical_sorted
 
 MAX_GENERATORS = 20
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
-    """All least common multiples of nonempty generator subsets, without
-    duplicates, in canonical order: one fold that adds each generator and
-    its join with every lcm found before it."""
+def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """All least common multiples of nonempty generator subsets, as
+    distinct exponent tuples in canonical order: one fold that adds each
+    generator and its join with every lcm found before it."""
     if ideal.is_zero:
         raise ValueError("the zero ideal has no lcm lattice")
     if len(ideal._exps) > MAX_GENERATORS:
@@ -42,23 +42,22 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
     for g in ideal._exps:
         seen |= {tuple(map(max, b, g)) for b in seen}
         seen.add(g)
-    return [Monomial._trusted(e) for e in canonical_sorted(seen)]
+    return canonical_sorted(seen)
 
 
-def koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
-    """K^b: the complex on the support of b of the sets F with x^(b - F)
-    in the ideal, that is F inside S_g = {w : g_w < b_w} for a generator g
-    dividing x^b.  It is kept as the maximal S_g and lists no face until
-    asked; void when no generator divides x^b."""
-    if b.n != ideal.n:
-        raise ValueError("ambient dimension mismatch")
-    exps = b.exponents
-    labels = range(1, len(exps) + 1)
+def koszul_complex(ideal: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComplex:
+    """K^b for the exponent tuple b: the complex on the support of b of the
+    sets F with x^(b - F) in the ideal, that is F inside S_g = {w : g_w < b_w}
+    for a generator g dividing x^b.  It is kept as the maximal S_g and lists
+    no face until asked; void when no generator divides x^b."""
+    if len(b) != ideal.n:
+        raise ValueError(f"ambient dimension mismatch: {len(b)} vs {ideal.n}")
+    labels = range(1, len(b) + 1)
     # divides_any inline: one call per generator and point costs 3-6% end to end.
     facets = _maximal(
-        {tuple(compress(labels, map(lt, g, exps))) for g in ideal._exps if not any(map(gt, g, exps))}
+        {tuple(compress(labels, map(lt, g, b))) for g in ideal._exps if not any(map(gt, g, b))}
     )
-    return SimplicialComplex._from_facets(tuple(compress(labels, exps)), facets)
+    return SimplicialComplex._from_facets(tuple(compress(labels, b)), facets)
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     for b in lcm_lattice(ideal):
         for offset, dim in enumerate(koszul_complex(ideal, b).reduced_homology_dims(char, memo)):
             if dim:
-                entries[(offset, b.exponents)] = dim
+                entries[(offset, b)] = dim
     return BettiTable(ideal.n, char, entries)
 
 

@@ -21,7 +21,7 @@ from .hypergraphs import (
     special_dual,
 )
 from .ideals import MonomialIdeal, alexander_dual, component_str, irredundant_filter
-from .monomials import Monomial
+from .monomials import divides_any
 from .stability import is_stable, pure_power_truncation_stable, q_bound, t_bound, truncation_stability
 
 PASS = "pass"
@@ -184,8 +184,7 @@ def run_hypergraph_checks(
 
     claims: list[ClaimResult] = []
 
-    bound = Monomial(a)
-    offenders = [g for g in ideal.gens if not g.divides(bound)]
+    offenders = [g for g in ideal.gens if not divides_any((g.exponents,), a)]
     claims.append(
         _verdict(
             "generators_bounded_by_containment",
@@ -195,9 +194,8 @@ def run_hypergraph_checks(
         )
     )
 
-    pairwise = all(
-        not u.divides(w) for u in ideal.gens for w in ideal.gens if u is not w
-    )
+    exps = ideal._exps
+    pairwise = not any(divides_any(exps[:i] + exps[i + 1 :], w) for i, w in enumerate(exps))
     claims.append(
         _verdict(
             "inclusion_ideal_minimal",

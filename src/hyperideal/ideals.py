@@ -64,9 +64,9 @@ def _degree_members(
     Coordinates are filled left to right, largest value first.  A partial
     vector keeps only the generators that still fit: g_i <= e_i on the
     coordinates filled so far, and the rest of g no larger than the
-    degree left.  A branch that keeps none is dropped.  Once a kept
-    generator has nothing left to place, or only the last coordinate is
-    open, every completion of the degree left is a member.
+    degree left.  A branch that keeps none is dropped.  The last
+    coordinate takes the degree left; once a kept generator has nothing
+    left to place, every completion of the degree left is a member.
     """
     # Each generator travels with its tail sums, tail[i] = sum(g[i:]).
     fits = []
@@ -80,8 +80,11 @@ def _degree_members(
 
     def fill(head: tuple[int, ...], left: int, active: list) -> None:
         i = len(head)
-        if i == last or any(not tail[i] for _, tail in active):
-            members.extend(head + c for c in compositions(left, n - i))
+        if i == last:
+            members.append(head + (left,))
+            return
+        if any(not tail[i] for _, tail in active):
+            members.extend(head + c for c in compositions(left, (left,) * (n - i)))
             return
         for v in range(left, -1, -1):
             rest = left - v
@@ -165,11 +168,12 @@ class MonomialIdeal:
             return "0"
         return ", ".join(str(g) for g in self.gens)
 
-    def contains(self, u: Monomial) -> bool:
-        """Membership: true iff some minimal generator divides u."""
-        if len(u.exponents) != self.n:
-            raise ValueError(f"ambient dimension mismatch: {u.n} vs {self.n}")
-        return divides_any(self._exps, u.exponents)
+    def contains(self, u: tuple[int, ...]) -> bool:
+        """Membership of the exponent tuple u: true iff some minimal
+        generator divides x^u."""
+        if len(u) != self.n:
+            raise ValueError(f"ambient dimension mismatch: {len(u)} vs {self.n}")
+        return divides_any(self._exps, u)
 
     def truncate(self, t: int) -> MonomialIdeal:
         """The ideal generated by the members of degree >= t.
@@ -208,7 +212,7 @@ class MonomialIdeal:
         """Largest variable index occurring in any minimal generator."""
         if self.is_zero or self.is_unit:
             raise ValueError("max index undefined for the zero and unit ideals")
-        return max(g.max_index() for g in self.gens)
+        return next(i for i in range(self.n, 0, -1) if any(g[i - 1] for g in self._exps))
 
 
 def component_str(powers: Sequence[int]) -> str:

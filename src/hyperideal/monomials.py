@@ -4,20 +4,20 @@ Exponents are plain Python integers, so there is no overflow to guard
 against; every derived quantity (degree, bound, Betti number) is an exact
 combinatorial integer.
 
-Kernel contract: the public constructors (``Monomial(...)``, ``of``)
-validate their input, and :meth:`Monomial.divides` checks that the
-ambient dimensions match.  Values the package derives from already
-validated values (stability shifts, truncation candidates, intersections,
-lattice joins) are built through :meth:`Monomial._trusted` without
-re-checks, and membership is decided on raw exponent tuples by
-:func:`divides_any`.
+Kernel contract: the exponent tuple is the value that moves inside the
+pipeline.  A :class:`Monomial` appears only where a value enters from
+outside (``Monomial(...)``, ``of``, ``MonomialIdeal(n, gens)``, the input
+formats), which validate it, and where one is shown (``MonomialIdeal.gens``,
+a stability witness, ``str``).  Inside, ``MonomialIdeal.contains`` and
+``koszul_complex`` take a raw tuple and check only its length,
+``lcm_lattice`` returns tuples, and :func:`divides_any` decides membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import gt
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,6 @@ class Monomial:
         """Total degree: the sum of the exponents."""
         return sum(self.exponents)
 
-    def divides(self, other: Monomial) -> bool:
-        """Componentwise order: true iff self_i <= other_i for every i."""
-        if self.n != other.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-        return divides_any((self.exponents,), other.exponents)
-
-    def support(self) -> frozenset[int]:
-        """1-based indices of the variables that occur."""
-        return frozenset(i + 1 for i, e in enumerate(self.exponents) if e >= 1)
-
     def max_index(self) -> int:
         """Largest 1-based variable index dividing the monomial.
 
@@ -84,20 +74,6 @@ class Monomial:
             if exps[i] >= 1:
                 return i + 1
         raise ValueError("max index of the unit monomial is undefined")
-
-    def stability_shift(self, j: int) -> Monomial:
-        """Move one power from the largest occurring variable onto x_j.
-
-        Returns x_j * self / x_m where m = max_index(self).  Requires
-        1 <= j < m; degree is preserved.
-        """
-        m = self.max_index()
-        if not 1 <= j < m:
-            raise ValueError(f"shift index {j} must satisfy 1 <= j < max index {m}")
-        exps = list(self.exponents)
-        exps[j - 1] += 1
-        exps[m - 1] -= 1
-        return Monomial._trusted(tuple(exps))
 
     def __str__(self) -> str:
         if self.is_unit():
@@ -133,15 +109,25 @@ def canonical_sorted(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return ordered
 
 
-def compositions(total: int, parts: int):
-    """Yield all tuples of ``parts`` nonnegative integers summing to ``total``.
+def compositions(total: int, caps: Sequence[int]):
+    """Yield every tuple v with 0 <= v_i <= caps[i] summing to ``total``,
+    lexicographically descending, so the first coordinate runs from its
+    largest feasible value down.
 
-    Deterministic: lexicographically descending, so the first coordinate
-    runs from ``total`` down to 0.
+    The first coordinate takes only the values that leave a total the
+    later coordinates can still hold, so no branch is abandoned, and the
+    last coordinate takes what is left without a call of its own.
     """
-    if parts == 1:
-        yield (total,)
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
         return
-    for head in range(total, -1, -1):
-        for tail in compositions(total - head, parts - 1):
+    rest = caps[1:]
+    heads = range(min(caps[0], total), max(0, total - sum(rest)) - 1, -1)
+    if len(rest) == 1:
+        for head in heads:
+            yield (head, total - head)
+        return
+    for head in heads:
+        for tail in compositions(total - head, rest):
             yield (head,) + tail

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ideals import MonomialIdeal
-from .monomials import Monomial, canonical_sorted, compositions
+from .monomials import Monomial, compositions
 
 
 @dataclass(frozen=True)
@@ -55,30 +55,31 @@ def _witness(
     the largest gap, so its scan stops there.  The shifts x_j * u / x_m
     are built in place from one copy of u with x_m removed.  When u / x_m
     itself is a member, every shift is its multiple, so one membership
-    test settles u and the scan is skipped.  Generators are read as
-    exponent tuples; only the witness's is wrapped in a Monomial.
+    test settles u and the scan is skipped.  Everything is tested as an
+    exponent tuple; only the returned witness is wrapped in Monomials.
     """
-    best: Optional[StabilityWitness] = None
-    best_key = None
+    best = None
     for pos, u in enumerate(candidates._exps):
         m = len(u)
         while not u[m - 1]:
             m -= 1
         exps = list(u)
         exps[m - 1] -= 1
-        if members.contains(Monomial._trusted(tuple(exps))):
+        if members.contains(tuple(exps)):
             continue
         for j in range(1, m):
             exps[j - 1] += 1
-            shifted = Monomial._trusted(tuple(exps))
+            shifted = tuple(exps)
             exps[j - 1] -= 1
             if not members.contains(shifted):
                 key = (-(m - j), j, pos)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = StabilityWitness(Monomial._trusted(u), j, shifted)
+                if best is None or key < best[0]:
+                    best = (key, u, j, shifted)
                 break
-    return best
+    if best is None:
+        return None
+    _, u, j, shifted = best
+    return StabilityWitness(Monomial._trusted(u), j, Monomial._trusted(shifted))
 
 
 def is_stable(ideal: MonomialIdeal) -> StabilityReport:
@@ -97,13 +98,15 @@ def is_stable_exhaustive(ideal: MonomialIdeal, degree_bound: int) -> bool:
         raise ValueError("stability undefined for the zero and unit ideals")
     n = ideal.n
     for deg in range(1, degree_bound + 1):
-        for exps in compositions(deg, n):
-            u = Monomial(exps)
+        for u in compositions(deg, (deg,) * n):
             if not ideal.contains(u):
                 continue
-            m = u.max_index()
-            for j in range(1, m):
-                if not ideal.contains(u.stability_shift(j)):
+            m = max(i for i, e in enumerate(u) if e)  # m(u) - 1
+            for j in range(m):  # x_{j+1} * u / x_{m+1}
+                shifted = list(u)
+                shifted[j] += 1
+                shifted[m] -= 1
+                if not ideal.contains(tuple(shifted)):
                     return False
     return True
 
@@ -147,22 +150,6 @@ def _check_pure_power_hypothesis(exponents: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _box_compositions(total: int, caps: Sequence[int]):
-    """Yield every tuple v with 0 <= v_i <= caps[i] summing to ``total``.
-
-    The first coordinate takes only the values that leave a total the
-    later coordinates can still hold, so no branch is abandoned.
-    """
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    rest = sum(caps[1:])
-    for head in range(max(0, total - rest), min(caps[0], total) + 1):
-        for tail in _box_compositions(total - head, caps[1:]):
-            yield (head,) + tail
-
-
 def _box_stable(a: Sequence[int], t: int) -> bool:
     """Whether (x_1^{a_1}, ..., x_n^{a_n}), exponents >= 1 in any order,
     truncated at degree t >= max(a) is stable, decided without listing
@@ -172,23 +159,15 @@ def _box_stable(a: Sequence[int], t: int) -> bool:
     degree-t members.  :func:`_witness` skips a member u whose u / x_m is
     a member, so it scans only u = x_m * v with v a standard monomial
     (v_i < a_i for every i) of degree t - 1, m >= m(v) and x_m * v in the
-    ideal; the shifts of u are x_j * v for j < m.  The walk lists those v
-    in the box and decides each membership with the ideal's ``contains``.
+    ideal; the shifts of u are x_j * v for j < m.  For v in the box, x_k * v
+    is a member exactly when v_k = a_k - 1, so the walk compares each v with
+    the corner a - 1 and tests no membership.
     """
-    n = len(a)
-    ideal = MonomialIdeal._of_minimal(
-        n, canonical_sorted((0,) * i + (a[i],) + (0,) * (n - i - 1) for i in range(n))
-    )
-
-    def times(v: tuple[int, ...], k: int) -> Monomial:  # x_{k+1} * v
-        return Monomial._trusted(v[:k] + (v[k] + 1,) + v[k + 1 :])
-
-    for v in _box_compositions(t - 1, [e - 1 for e in a]):
+    corner = tuple(e - 1 for e in a)
+    for v in compositions(t - 1, corner):
         top = max((i for i, e in enumerate(v) if e), default=0)  # m(v) - 1, or 0 at v = 1
-        for m in range(top, n):
-            if ideal.contains(times(v, m)) and not all(
-                ideal.contains(times(v, j)) for j in range(m)
-            ):
+        for m in range(top, len(a)):
+            if v[m] == corner[m] and v[:m] != corner[:m]:
                 return False
     return True
 
@@ -200,7 +179,7 @@ def pure_power_truncation_stable(exponents: Sequence[int]) -> bool:
     The hypothesis gives t >= n - 1 >= a_1 = max(a), so
     :func:`_box_stable` decides it on the box of standard monomials.
     There the degree t - 1 holds at most the corner (a_i - 1), reached
-    only when a_1 = n - 1, so the walk makes O(n^2) membership tests.
+    only when a_1 = n - 1, so the walk makes O(n^2) corner comparisons.
     """
     a = _check_pure_power_hypothesis(exponents)
     return _box_stable(a, sum(a) - a[0])

@@ -114,7 +114,7 @@ def test_criterion_2_truncation_counterexample():
         assert witness.generator.exponents == (0, 1, 1)
         assert witness.shift_index == 1
         assert witness.shifted.exponents == (1, 1, 0)
-        assert not ideal.contains(witness.shifted)
+        assert not ideal.contains(witness.shifted.exponents)
 
         direct = is_stable(cut)
         assert not direct.is_stable

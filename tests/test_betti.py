@@ -15,9 +15,14 @@ from hyperideal.betti import (
     regularity,
 )
 from hyperideal.homology import GuardError, SimplicialComplex
-from hyperideal.hypergraphs import random_instance, restricted_dual, special_dual
+from hyperideal.hypergraphs import (
+    build_hypergraph,
+    containment_vector,
+    random_instance,
+    restricted_dual,
+    special_dual,
+)
 from hyperideal.ideals import MonomialIdeal
-from hyperideal.monomials import Monomial
 from hyperideal.stability import t_bound
 from test_homology import reference_reduced_homology
 
@@ -40,6 +45,11 @@ def wider_ideals():
     return small_ideals(n_max=4, e_max=3, max_gens=5)
 
 
+def support_of(b):
+    """1-based indices of the nonzero entries of the exponent tuple b."""
+    return [i for i, e in enumerate(b, start=1) if e]
+
+
 def has_nerve_side_point(ideal):
     """True when some lattice point is no cone and its Koszul complex has
     at least 2 facets whose distinct vertex stars bound fewer faces than
@@ -49,7 +59,7 @@ def has_nerve_side_point(ideal):
         facets = koszul_complex(ideal, b).facets
         if len(facets) < 2 or set(facets[0]).intersection(*facets[1:]):
             continue
-        stars = {tuple(j for j, f in enumerate(facets) if v in f) for v in b.support()}
+        stars = {tuple(j for j, f in enumerate(facets) if v in f) for v in support_of(b)}
         if sum(2 ** len(s) for s in stars if s) < sum(2 ** len(f) for f in facets):
             return True
     return False
@@ -105,7 +115,7 @@ def repeated_nerve_ideals():
 def koszul_by_frontier(ideal, b):
     """Reference Koszul complex: grow faces one vertex at a time and keep a
     candidate F when x^(b - F) is in the ideal."""
-    support = sorted(b.support())
+    support = support_of(b)
     if not ideal.contains(b):
         return SimplicialComplex.void(support)
     faces = [frozenset()]
@@ -118,10 +128,10 @@ def koszul_by_frontier(ideal, b):
                 if v <= start:
                     continue
                 candidate = face + (v,)
-                exps = list(b.exponents)
+                exps = list(b)
                 for w in candidate:
                     exps[w - 1] -= 1
-                if ideal.contains(Monomial(tuple(exps))):
+                if ideal.contains(tuple(exps)):
                     faces.append(frozenset(candidate))
                     nxt.append(candidate)
         frontier = nxt
@@ -136,14 +146,14 @@ def betti_entries_at_every_point(ideal, char):
         dims = reference_reduced_homology(koszul_by_frontier(ideal, b).faces, char)
         for offset, dim in enumerate(dims):
             if dim:
-                entries[(offset, b.exponents)] = dim
+                entries[(offset, b)] = dim
     return entries
 
 
 @given(wider_ideals(), st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4))
 @settings(max_examples=60)
 def test_koszul_complex_matches_frontier_builder(ideal, extra):
-    points = lcm_lattice(ideal) + [Monomial(tuple(extra[: ideal.n])), Monomial((0,) * ideal.n)]
+    points = lcm_lattice(ideal) + [tuple(extra[: ideal.n]), (0,) * ideal.n]
     for b in points:
         built = koszul_complex(ideal, b)
         reference = koszul_by_frontier(ideal, b)
@@ -164,7 +174,7 @@ def test_koszul_facets_are_maximal_and_detect_cones(closures):
             assert all(not set(f) <= set(h) for f in facets for h in facets if f is not h)
             faces = koszul_by_frontier(ideal, b).faces
             # v is an apex exactly when F | {v} is a face for every face F.
-            apex = any(all(f | {v} in faces for f in faces) for v in b.support())
+            apex = any(all(f | {v} in faces for f in faces) for v in support_of(b))
             closures.clear()
             dims = complex_at_b.reduced_homology_dims()
             assert (closures == []) == apex
@@ -222,10 +232,10 @@ def test_each_table_ranks_each_nerve_once(monkeypatch):
 def test_lcm_lattice_of_mixed_ideal():
     lattice = lcm_lattice(MIXED)
     assert len(lattice) == 11
-    points = {m.exponents for m in lattice}
+    points = set(lattice)
     for u in lattice:
         for v in lattice:
-            assert tuple(map(max, u.exponents, v.exponents)) in points
+            assert tuple(map(max, u, v)) in points
 
 
 def test_lcm_lattice_guard():
@@ -249,11 +259,11 @@ def test_lcm_lattice_is_every_subset_lcm_in_canonical_order(ideal):
     }
     # Degree ascending, lexicographically descending within a degree.
     expected = sorted(lcms, key=lambda e: (sum(e), [-x for x in e]))
-    assert [m.exponents for m in lcm_lattice(ideal)] == expected
+    assert lcm_lattice(ideal) == expected
 
 
 def test_koszul_complex_void_outside_ideal():
-    k = koszul_complex(MIXED, Monomial.of(1, 1, 0))
+    k = koszul_complex(MIXED, (1, 1, 0))
     assert k.facets == ()
 
 
@@ -261,23 +271,23 @@ def test_koszul_complex_refuses_wide_support():
     # x1*...*x12 + x13*...*x24: K^b at the top point would list 2^13 faces.
     wide = MonomialIdeal.from_exponents(24, [(1,) * 12 + (0,) * 12, (0,) * 12 + (1,) * 12])
     top = lcm_lattice(wide)[-1]
-    assert top.exponents == (1,) * 24
+    assert top == (1,) * 24
     complex_at_top = koszul_complex(wide, top)
     assert complex_at_top.facets == (tuple(range(1, 13)), tuple(range(13, 25)))
     with pytest.raises(GuardError, match="^ground set of size 24 exceeds the desk-scale limit 20$"):
         complex_at_top.reduced_homology_dims()
     # Outside the ideal the complex is void, however wide its support.
-    outside = koszul_complex(wide, Monomial((1,) * 11 + (0,) + (1,) * 11 + (0,)))
+    outside = koszul_complex(wide, (1,) * 11 + (0,) + (1,) * 11 + (0,))
     assert (outside.facets, outside.reduced_homology_dims()) == ((), ())
 
 
 def test_koszul_complex_two_isolated_vertices():
-    k = koszul_complex(MIXED, Monomial.of(1, 1, 1))
+    k = koszul_complex(MIXED, (1, 1, 1))
     assert k.faces == {frozenset(), frozenset({1}), frozenset({2})}
 
 
 def test_koszul_complex_hollow_triangle():
-    k = koszul_complex(MIXED, Monomial.of(2, 2, 1))
+    k = koszul_complex(MIXED, (2, 2, 1))
     assert frozenset({1, 2, 3}) not in k.faces
     assert frozenset({1, 2}) in k.faces
     assert frozenset({1, 3}) in k.faces
@@ -393,3 +403,34 @@ def test_euler_identity_everywhere(ideal):
 @settings(max_examples=30)
 def test_regularity_at_least_generator_degree(ideal):
     assert regularity(ideal, 0) >= ideal.deg()
+
+
+# Every (|E_1|, d, s) with |E_1| in {2,3,4}, d in {1,2,3}, s >= 2 and
+# |E_1| * (d+1)^(s-1) <= 20: the special duals the Koszul oracle reaches.
+REGULARITY_GRID = [
+    (e1, d, s)
+    for e1 in (2, 3, 4)
+    for d in (1, 2, 3)
+    for s in range(2, 6)
+    if e1 * (d + 1) ** (s - 1) <= 20
+]
+
+
+@pytest.mark.parametrize("e1, d, s", REGULARITY_GRID)
+def test_special_dual_regularity_on_the_grid(e1, d, s):
+    # An observation on this grid, not a theorem: the restricted dual has
+    # |E_1| (d+1)^(s-1) generators, reg = t - (|E_1| - 2) - (d - 1)(s - 1),
+    # and every nonzero multigraded Betti number is 1.
+    n = e1 + (s - 1) * d
+    h = build_hypergraph(n, d, [range(1, e1 + i * d + 1) for i in range(s)])
+    _, dual_r, _ = restricted_dual(h, *special_dual(h))
+    assert len(dual_r.gens) == e1 * (d + 1) ** (s - 1)
+    t = t_bound(containment_vector(h))
+    for char in (0, 2):
+        table = betti_table(dual_r, char)
+        assert table.regularity() == t - (e1 - 2) - (d - 1) * (s - 1)
+        assert set(table.entries.values()) == {1}
+
+
+def test_regularity_grid_has_fourteen_shapes():
+    assert len(REGULARITY_GRID) == 14

@@ -31,6 +31,10 @@ def test_every_exported_name_resolves():
         (hyperideal.ideals, "IrreducibleComponent"),
         (hyperideal.ideals, "intersect_components"),
         (hyperideal.ideals, "dual_components"),
+        (Monomial, "support"),
+        (Monomial, "stability_shift"),
+        (Monomial, "divides"),
+        (hyperideal, "compositions"),
     ],
 )
 def test_removed_names_stay_gone(owner, name):

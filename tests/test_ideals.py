@@ -17,7 +17,7 @@ from hyperideal.ideals import (
     component_str,
     irredundant_filter,
 )
-from hyperideal.monomials import Monomial, canonical_sorted, compositions
+from hyperideal.monomials import Monomial, canonical_sorted, compositions, divides_any
 
 
 def ideal_of(n, *vectors):
@@ -121,10 +121,9 @@ def test_minimal_generators_dedups():
 
 @given(small_ideals())
 def test_minimal_generators_pairwise_incomparable(ideal):
-    for u in ideal.gens:
-        for v in ideal.gens:
-            if u is not v:
-                assert not u.divides(v)
+    exps = [g.exponents for g in ideal.gens]
+    for i, u in enumerate(exps):
+        assert not divides_any(exps[:i] + exps[i + 1 :], u)
 
 
 def test_zero_and_unit():
@@ -134,14 +133,14 @@ def test_zero_and_unit():
     assert one.is_unit
     assert str(z) == "0"
     assert str(one) == "1"
-    assert one.contains(Monomial.of(0, 0, 0))
-    assert not z.contains(Monomial.of(1, 0, 0))
+    assert one.contains((0, 0, 0))
+    assert not z.contains((1, 0, 0))
 
 
 def test_contains():
     ideal = ideal_of(3, (2, 0, 0), (0, 2, 0), (0, 0, 1))
-    assert ideal.contains(Monomial.of(2, 1, 0))
-    assert not ideal.contains(Monomial.of(1, 1, 0))
+    assert ideal.contains((2, 1, 0))
+    assert not ideal.contains((1, 1, 0))
 
 
 @given(ideal_pairs())
@@ -150,9 +149,9 @@ def test_intersection_membership(pair):
     a, b = pair
     both = intersect(a, b)
     for g in both.gens:
-        assert a.contains(g) and b.contains(g)
+        assert a.contains(g.exponents) and b.contains(g.exponents)
     for g in a.gens:
-        assert both.contains(g) == b.contains(g)
+        assert both.contains(g.exponents) == b.contains(g.exponents)
 
 
 def test_truncate_below_threshold():
@@ -188,7 +187,7 @@ def reference_truncate(ideal, t):
         if gap <= 0:
             cands.append(g.exponents)
         else:
-            cands.extend(tuple(map(add, g.exponents, w)) for w in compositions(gap, ideal.n))
+            cands.extend(tuple(map(add, g.exponents, w)) for w in compositions(gap, (gap,) * ideal.n))
     return MonomialIdeal.from_exponents(ideal.n, cands)
 
 
@@ -224,7 +223,7 @@ def test_truncate_generators_at_above_and_below_t():
     ]
     assert cut == reference_truncate(ideal, 2)
     unit = ideal_of(3, (0, 0, 0))
-    assert unit.truncate(2).gens == tuple(map(Monomial, compositions(2, 3)))
+    assert unit.truncate(2).gens == tuple(map(Monomial, compositions(2, (2, 2, 2))))
 
 
 def test_truncate_guard():
@@ -246,10 +245,10 @@ def test_truncate_membership(ideal, t):
     cut = ideal.truncate(t)
     for g in cut.gens:
         assert g.degree() >= t
-        assert ideal.contains(g)
+        assert ideal.contains(g.exponents)
     for g in ideal.gens:
         if g.degree() >= t:
-            assert cut.contains(g)
+            assert cut.contains(g.exponents)
 
 
 def test_deg_max_index_support():

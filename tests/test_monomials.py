@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperideal.betti import koszul_complex
+from hyperideal.ideals import MonomialIdeal
 from hyperideal.monomials import (
     Monomial,
     canonical_sorted,
@@ -17,12 +20,12 @@ exponent_vectors = st.lists(st.integers(min_value=0, max_value=6), min_size=1, m
 def pairs_same_ambient():
     return exponent_vectors.flatmap(
         lambda e: st.tuples(
-            st.just(Monomial(tuple(e))),
+            st.just(tuple(e)),
             st.lists(
                 st.integers(min_value=0, max_value=6),
                 min_size=len(e),
                 max_size=len(e),
-            ).map(lambda f: Monomial(tuple(f))),
+            ).map(tuple),
         )
     )
 
@@ -41,35 +44,29 @@ def test_constructors():
     assert Monomial.of(0, 0, 0).is_unit()
 
 
-def test_degree_support_max_index():
+def test_degree_max_index():
     u = Monomial.of(3, 0, 2)
     assert u.degree() == 5
-    assert u.support() == frozenset({1, 3})
     assert u.max_index() == 3
     with pytest.raises(ValueError):
         Monomial.of(0, 0).max_index()
 
 
 def test_ambient_mismatch():
-    with pytest.raises(ValueError):
-        Monomial.of(1, 0).divides(Monomial.of(1, 0, 0))
+    # The public entries that take a raw exponent tuple check its length.
+    ideal = MonomialIdeal.from_exponents(3, [(1, 1, 0), (0, 0, 2)])
+    for u in [(1, 1), (1, 1, 0, 0)]:
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            ideal.contains(u)
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            koszul_complex(ideal, u)
 
 
 @given(pairs_same_ambient())
 def test_divides_iff_componentwise(pair):
     u, v = pair
-    expected = all(a <= b for a, b in zip(u.exponents, v.exponents))
-    assert u.divides(v) == expected
-
-
-def test_stability_shift():
-    u = Monomial.of(0, 2, 1)
-    assert u.stability_shift(1) == Monomial.of(1, 2, 0)
-    assert u.stability_shift(2) == Monomial.of(0, 3, 0)
-    with pytest.raises(ValueError):
-        u.stability_shift(3)
-    with pytest.raises(ValueError):
-        u.stability_shift(0)
+    expected = all(a <= b for a, b in zip(u, v))
+    assert divides_any((u,), v) == expected
 
 
 def test_str_forms():
@@ -79,33 +76,39 @@ def test_str_forms():
 
 
 def test_compositions_count_and_order():
-    rows = list(compositions(3, 2))
-    assert rows[0][0] == 3 and rows[-1][0] == 0
-    assert len(rows) == math.comb(3 + 1, 1)
-    assert all(sum(r) == 3 for r in rows)
-    assert len(set(rows)) == len(rows)
+    rows = list(compositions(3, (3, 3)))
+    assert rows == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert list(compositions(3, (1, 2))) == [(1, 2)]
+    assert list(compositions(4, (1, 2))) == []
 
 
 @given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=4))
 def test_compositions_complete(total, parts):
-    rows = list(compositions(total, parts))
+    rows = list(compositions(total, (total,) * parts))
     assert len(rows) == math.comb(total + parts - 1, parts - 1)
     assert all(len(r) == parts and sum(r) == total for r in rows)
+
+
+@given(
+    st.integers(min_value=0, max_value=9),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4),
+)
+def test_compositions_match_filtered_product(total, caps):
+    # Lexicographically descending and complete: the brute-force filter of
+    # the whole box, reversed.
+    box = itertools.product(*(range(c + 1) for c in caps))
+    expected = [v for v in box if sum(v) == total][::-1]
+    assert list(compositions(total, caps)) == expected
 
 
 @given(pairs_same_ambient())
 def test_trusted_values_equal_validated(pair):
     u, v = pair
-    joined = tuple(map(max, u.exponents, v.exponents))
-    for exps in (u.exponents, joined):
+    for exps in (u, tuple(map(max, u, v))):
         derived, validated = Monomial._trusted(exps), Monomial(exps)
         assert derived == validated
         assert hash(derived) == hash(validated)
         assert repr(derived) == repr(validated)
-    if not u.is_unit() and u.max_index() > 1:
-        shifted = u.stability_shift(1)
-        assert shifted == Monomial(shifted.exponents)
-        assert hash(shifted) == hash(Monomial(shifted.exponents))
 
 
 def test_divides_any():

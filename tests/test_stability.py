@@ -130,7 +130,7 @@ def skip_split(candidates, members):
         e = list(u.exponents)
         m = max(i + 1 for i, x in enumerate(e) if x)
         e[m - 1] -= 1
-        skipped += members.contains(Monomial(tuple(e)))
+        skipped += members.contains(tuple(e))
     return skipped, len(candidates.gens) - skipped
 
 
