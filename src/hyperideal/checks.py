@@ -21,7 +21,7 @@ from .hypergraphs import (
     special_dual,
 )
 from .ideals import MonomialIdeal, alexander_dual, component_str, irredundant_filter
-from .monomials import divides_any
+from .monomials import Monomial, divides_any
 from .stability import is_stable, pure_power_truncation_stable, q_bound, t_bound, truncation_stability
 
 PASS = "pass"
@@ -184,22 +184,22 @@ def run_hypergraph_checks(
 
     claims: list[ClaimResult] = []
 
-    offenders = [g for g in ideal.gens if not divides_any((g.exponents,), a)]
+    exps = ideal._exps
+    offenders = [g for g in exps if not divides_any((g,), a)]
     claims.append(
         _verdict(
             "generators_bounded_by_containment",
             not offenders,
-            f"{len(ideal.gens)} generators divide x^a",
-            f"{offenders[0] if offenders else ''} does not divide x^a",
+            f"{len(exps)} generators divide x^a",
+            f"{Monomial(offenders[0]) if offenders else ''} does not divide x^a",
         )
     )
 
-    exps = ideal._exps
     pairwise = not any(divides_any(exps[:i] + exps[i + 1 :], w) for i, w in enumerate(exps))
     claims.append(
         _verdict(
             "inclusion_ideal_minimal",
-            pairwise and len(ideal.gens) == h.s,
+            pairwise and len(exps) == h.s,
             f"{h.s} pairwise incomparable generators",
             "a generator divides another or the count is off",
         )
@@ -324,9 +324,7 @@ def run_ideal_checks(
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("checks need a proper nonzero monomial ideal")
 
-    cap = tuple(
-        max(g.exponents[i] for g in ideal.gens) for i in range(ideal.n)
-    )
+    cap = tuple(map(max, zip(*ideal._exps)))
     dual = alexander_dual(ideal, cap)
     stability = is_stable(ideal)
 

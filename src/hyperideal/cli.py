@@ -45,6 +45,10 @@ EXIT_GUARD = 3
 
 BENCH_SCHEMA_COMMENT = "# hyperideal bench schema v1"
 
+# Most (n, s, d) cells bench may list before its first draw: listing
+# 10^5 cells takes 0.02 s and 7 MB, 10^6 cells 0.2 s and 76 MB.
+MAX_BENCH_CELLS = 10**5
+
 
 def _check_out(out: str) -> None:
     """Refuse an --out target before any work, creating or truncating
@@ -162,6 +166,12 @@ def cmd_bench(args) -> int:
     d_set = _parse_set(args.d_set, "--d-set")
     if args.count < 0:
         raise InputError("--count must be nonnegative")
+    cells = len(n_range) * len(s_range) * len(d_set)
+    if cells > MAX_BENCH_CELLS:
+        raise GuardError(
+            f"{cells} (n, s, d) cells in the given ranges exceed the desk-scale "
+            f"limit {MAX_BENCH_CELLS}"
+        )
     triples = [
         (n, s, d)
         for n in n_range

@@ -28,8 +28,6 @@ def _require_int(value, what: str, source: str) -> int:
 
 
 def parse_hypergraph(data: dict, source: str = "<input>") -> IncreasingHypergraph:
-    n = _require_int(data.get("n"), '"n"', source)
-    d = _require_int(data.get("d"), '"d"', source)
     edges = data.get("edges")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise InputError(f'{source}: "edges" must be a list of vertex lists')
@@ -37,7 +35,7 @@ def parse_hypergraph(data: dict, source: str = "<input>") -> IncreasingHypergrap
         for v in edge:
             _require_int(v, "vertex label", source)
     try:
-        return build_hypergraph(n, d, [frozenset(e) for e in edges])
+        return build_hypergraph(data.get("n"), data.get("d"), [frozenset(e) for e in edges])
     except ValueError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
@@ -47,15 +45,8 @@ def parse_ideal(data: dict, source: str = "<input>") -> MonomialIdeal:
     gens = data.get("gens")
     if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
         raise InputError(f'{source}: "gens" must be a list of exponent vectors')
-    for row in gens:
-        if len(row) != n:
-            raise InputError(
-                f"{source}: exponent vector {row} does not have length n={n}"
-            )
-        for e in row:
-            _require_int(e, "exponent", source)
     try:
-        return MonomialIdeal.from_exponents(n, [tuple(g) for g in gens])
+        return MonomialIdeal(n, gens)
     except ValueError as exc:
         raise InputError(f"{source}: {exc}") from exc
 
@@ -88,5 +79,5 @@ def dump_input(obj: InputObject) -> str:
     if isinstance(obj, IncreasingHypergraph):
         data = {"n": obj.n, "d": obj.d, "edges": [sorted(e) for e in obj.edges]}
     else:
-        data = {"n": obj.n, "gens": [list(g.exponents) for g in obj.gens]}
+        data = {"n": obj.n, "gens": [list(g) for g in obj._exps]}
     return json.dumps(data, indent=2) + "\n"

@@ -17,7 +17,7 @@ from operator import gt
 from typing import Iterable, Sequence
 
 from .homology import GuardError
-from .monomials import Monomial, canonical_sorted, compositions, divides_any
+from .monomials import Monomial, canonical_sorted, compositions, divides_any, exponent_vector
 
 # Most degree-t monomials a truncation may list: C(t+n-1, n-1) bounds
 # their number, and truncate refuses before enumerating above it.
@@ -97,7 +97,8 @@ def _degree_members(
 
 
 class MonomialIdeal:
-    """A monomial ideal in n variables, stored minimized and sorted.
+    """A monomial ideal in n variables, built from exponent vectors of
+    length n and stored minimized and sorted.
 
     The zero ideal (no generators) and the unit ideal (generated by 1)
     are representable and flagged via :attr:`is_zero` / :attr:`is_unit`;
@@ -107,14 +108,10 @@ class MonomialIdeal:
 
     __slots__ = ("n", "_exps", "_gens")
 
-    def __init__(self, n: int, gens: Iterable[Monomial] = ()):
-        if n < 1:
-            raise ValueError("ambient dimension must be positive")
-        gens = tuple(gens)
-        for g in gens:
-            if g.n != n:
-                raise ValueError(f"generator {g} has ambient {g.n}, expected {n}")
-        self._fill(n, _minimize(g.exponents for g in gens))
+    def __init__(self, n: int, gens: Iterable[Sequence[int]] = ()):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"ambient dimension must be a positive integer, got {n!r}")
+        self._fill(n, _minimize(exponent_vector(g, n) for g in gens))
 
     @classmethod
     def _of_minimal(cls, n: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
@@ -134,15 +131,11 @@ class MonomialIdeal:
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as monomials, wrapped on first read."""
         if self._gens is None:
-            object.__setattr__(self, "_gens", tuple(map(Monomial._trusted, self._exps)))
+            object.__setattr__(self, "_gens", tuple(map(Monomial, self._exps)))
         return self._gens
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
-
-    @classmethod
-    def from_exponents(cls, n: int, vectors: Iterable[Sequence[int]]) -> MonomialIdeal:
-        return cls(n, (Monomial(tuple(v)) for v in vectors))
 
     @property
     def is_zero(self) -> bool:
@@ -288,11 +281,11 @@ def _dual_powers(ideal: MonomialIdeal, c: Sequence[int]) -> list[tuple[int, ...]
     c = tuple(c)
     if len(c) != ideal.n:
         raise ValueError(f"degree vector length {len(c)} != ambient {ideal.n}")
-    Monomial(c)  # raises on an entry that is not a nonnegative integer
+    exponent_vector(c)
     for e in ideal._exps:
         if any(map(gt, e, c)):
             raise ValueError(
-                f"generator {Monomial._trusted(e)} does not divide x^c with c={list(c)}"
+                f"generator {Monomial(e)} does not divide x^c with c={list(c)}"
             )
     return [tuple([ci + 1 - gi if gi else 0 for ci, gi in zip(c, e)]) for e in ideal._exps]
 

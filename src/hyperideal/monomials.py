@@ -4,13 +4,13 @@ Exponents are plain Python integers, so there is no overflow to guard
 against; every derived quantity (degree, bound, Betti number) is an exact
 combinatorial integer.
 
-Kernel contract: the exponent tuple is the value that moves inside the
-pipeline.  A :class:`Monomial` appears only where a value enters from
-outside (``Monomial(...)``, ``of``, ``MonomialIdeal(n, gens)``, the input
-formats), which validate it, and where one is shown (``MonomialIdeal.gens``,
-a stability witness, ``str``).  Inside, ``MonomialIdeal.contains`` and
-``koszul_complex`` take a raw tuple and check only its length,
-``lcm_lattice`` returns tuples, and :func:`divides_any` decides membership.
+Kernel contract: an ideal is built from exponent vectors, and
+:func:`exponent_vector` is the one check of a vector from outside.  Inside,
+exponent tuples move unchecked but for the length checks of
+``MonomialIdeal.contains`` and ``koszul_complex``; ``lcm_lattice`` returns
+tuples and :func:`divides_any` decides membership.  A :class:`Monomial` is
+only what the package shows: ``MonomialIdeal.gens``, a stability witness,
+``str``.
 """
 
 from __future__ import annotations
@@ -20,45 +20,31 @@ from operator import gt
 from typing import Iterable, Sequence
 
 
+def exponent_vector(v: Iterable[int], n: int | None = None) -> tuple[int, ...]:
+    """The exponent vector ``v`` as a tuple, checked in this order: of
+    length ``n`` when n is given, nonempty, and every entry a nonnegative
+    ``int`` (``bool`` refused)."""
+    exps = tuple(v)
+    if n is not None and len(exps) != n:
+        raise ValueError(f"exponent vector {list(exps)} does not have length n={n}")
+    if not exps:
+        raise ValueError("an exponent vector needs at least one entry")
+    for e in exps:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponents must be nonnegative integers, got {exps!r}")
+    return exps
+
+
 @dataclass(frozen=True)
 class Monomial:
-    """A monomial x1^e1 * ... * xn^en stored as its exponent vector.
+    """A monomial x1^e1 * ... * xn^en, shown by its exponent vector.
 
-    The ambient dimension is ``len(exponents)``.  The unit monomial (all
-    zeros) is a valid value: it divides everything.  Operations that are
-    undefined on the unit monomial, such as :meth:`max_index`, raise
-    ``ValueError``.
+    Built only for display, from exponent tuples already checked, so it
+    checks nothing.  The unit monomial (all zeros) prints as ``1``;
+    :meth:`max_index` raises ``ValueError`` on it.
     """
 
     exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        exps = tuple(self.exponents)
-        if not exps:
-            raise ValueError("ambient dimension must be positive")
-        for e in exps:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"exponents must be nonnegative integers, got {exps!r}")
-        object.__setattr__(self, "exponents", exps)
-
-    @classmethod
-    def _trusted(cls, exponents: tuple[int, ...]) -> Monomial:
-        """Wrap an exponent tuple derived from validated monomials, without
-        re-checking it.  Not for outside input."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "exponents", exponents)
-        return m
-
-    @classmethod
-    def of(cls, *exponents: int) -> Monomial:
-        return cls(tuple(exponents))
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    def is_unit(self) -> bool:
-        return all(e == 0 for e in self.exponents)
 
     def degree(self) -> int:
         """Total degree: the sum of the exponents."""
@@ -76,7 +62,7 @@ class Monomial:
         raise ValueError("max index of the unit monomial is undefined")
 
     def __str__(self) -> str:
-        if self.is_unit():
+        if not any(self.exponents):
             return "1"
         parts = []
         for i, e in enumerate(self.exponents):

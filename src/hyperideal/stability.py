@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ideals import MonomialIdeal
-from .monomials import Monomial, compositions
+from .monomials import Monomial, compositions, exponent_vector
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _witness(
     if best is None:
         return None
     _, u, j, shifted = best
-    return StabilityWitness(Monomial._trusted(u), j, Monomial._trusted(shifted))
+    return StabilityWitness(Monomial(u), j, Monomial(shifted))
 
 
 def is_stable(ideal: MonomialIdeal) -> StabilityReport:
@@ -117,13 +117,9 @@ def t_bound(a: Sequence[int]) -> int:
     Equals the sum over all entries but the first when the entries are
     sorted nonincreasingly, so the value does not depend on vertex order.
     """
-    entries = tuple(a)
-    if any(type(e) is not int for e in entries):
-        raise ValueError(f"containment entries must be integers, got {entries!r}")
-    if not entries or all(e == 0 for e in entries):
+    entries = exponent_vector(a)
+    if not any(entries):
         raise ValueError("bound undefined for an all-zero vector")
-    if any(e < 0 for e in entries):
-        raise ValueError("containment entries must be nonnegative")
     return sum(entries) - max(entries)
 
 
@@ -135,12 +131,8 @@ def q_bound(ideal: MonomialIdeal) -> int:
 
 
 def _check_pure_power_hypothesis(exponents: Sequence[int]) -> tuple[int, ...]:
-    a = tuple(exponents)
+    a = exponent_vector(exponents)
     n = len(a)
-    if n < 1:
-        raise ValueError("need at least one exponent")
-    if not all(isinstance(e, int) and not isinstance(e, bool) for e in a):
-        raise ValueError(f"exponents must be integers, got {list(a)}")
     if any(a[i] < a[i + 1] for i in range(n - 1)):
         raise ValueError(f"exponents must be nonincreasing, got {list(a)}")
     if a[-1] < 1:

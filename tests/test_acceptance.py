@@ -97,7 +97,7 @@ def test_criterion_1_running_example_exact():
 
 def test_criterion_2_truncation_counterexample():
     def body():
-        ideal = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
+        ideal = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
 
         cut = ideal.truncate(2)
         assert {g.exponents for g in cut.gens} == {
@@ -127,7 +127,7 @@ def test_criterion_2_truncation_counterexample():
 
 def test_criterion_3_mixed_ideal_bounds_and_betti():
     def body():
-        mixed = MonomialIdeal.from_exponents(
+        mixed = MonomialIdeal(
             3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)]
         )
         t = t_bound((2, 2, 1))
@@ -193,7 +193,7 @@ def test_criterion_5_pure_power_truncations():
             gens = [
                 tuple(a[i] if j == i else 0 for j in range(n)) for i in range(n)
             ]
-            ideal = MonomialIdeal.from_exponents(n, gens)
+            ideal = MonomialIdeal(n, gens)
             assert truncation_stability(ideal, t).is_stable
 
             cut = ideal.truncate(t)
@@ -234,10 +234,10 @@ def test_criterion_6_cross_validation():
                 exps = tuple(rng.randint(0, 3) for _ in range(n))
                 if any(exps):
                     gens.add(exps)
-            pool.append(MonomialIdeal.from_exponents(n, sorted(gens)))
+            pool.append(MonomialIdeal(n, sorted(gens)))
         for k in range(1, 6):
-            pool.append(MonomialIdeal.from_exponents(2, [(k, 0)]))
-            full = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
+            pool.append(MonomialIdeal(2, [(k, 0)]))
+            full = MonomialIdeal(2, [(1, 0), (0, 1)])
             pool.append(full.truncate(k))
         assert len(pool) == 50
 

@@ -26,7 +26,7 @@ from hyperideal.ideals import MonomialIdeal
 from hyperideal.stability import t_bound
 from test_homology import reference_reduced_homology
 
-MIXED = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)])
+MIXED = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)])
 
 
 def small_ideals(n_max=3, e_max=2, max_gens=4):
@@ -37,7 +37,7 @@ def small_ideals(n_max=3, e_max=2, max_gens=4):
             ),
             min_size=1,
             max_size=max_gens,
-        ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
+        ).map(lambda vs: MonomialIdeal(n, vs))
     )
 
 
@@ -71,7 +71,7 @@ def nerve_side_ideals():
             st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n),
             min_size=2,
             max_size=6,
-        ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
+        ).map(lambda vs: MonomialIdeal(n, vs))
     ).filter(has_nerve_side_point)
 
 
@@ -85,7 +85,7 @@ def pure_power_truncation(a):
     """(x_1^a_1, ..., x_n^a_n) truncated at t = sum(a) - max(a)."""
     n = len(a)
     powers = [tuple(a[i] if j == i else 0 for j in range(n)) for i in range(n)]
-    return MonomialIdeal.from_exponents(n, powers).truncate(t_bound(a))
+    return MonomialIdeal(n, powers).truncate(t_bound(a))
 
 
 def repeated_nerve_ideals():
@@ -239,7 +239,7 @@ def test_lcm_lattice_of_mixed_ideal():
 
 
 def test_lcm_lattice_guard():
-    big = MonomialIdeal.from_exponents(
+    big = MonomialIdeal(
         25, [tuple(3 if j == i else 0 for j in range(25)) for i in range(25)]
     )
     with pytest.raises(GuardError):
@@ -269,7 +269,7 @@ def test_koszul_complex_void_outside_ideal():
 
 def test_koszul_complex_refuses_wide_support():
     # x1*...*x12 + x13*...*x24: K^b at the top point would list 2^13 faces.
-    wide = MonomialIdeal.from_exponents(24, [(1,) * 12 + (0,) * 12, (0,) * 12 + (1,) * 12])
+    wide = MonomialIdeal(24, [(1,) * 12 + (0,) * 12, (0,) * 12 + (1,) * 12])
     top = lcm_lattice(wide)[-1]
     assert top == (1,) * 24
     complex_at_top = koszul_complex(wide, top)
@@ -310,14 +310,14 @@ def test_betti_char_two_agrees_on_mixed_ideal():
 
 
 def test_principal_ideal():
-    p = MonomialIdeal.from_exponents(2, [(2, 3)])
+    p = MonomialIdeal(2, [(2, 3)])
     table = betti_table(p, 0)
     assert table.entries == {(0, (2, 3)): 1}
     assert table.regularity() == 5
 
 
 def test_maximal_ideal_koszul_counts():
-    m4 = MonomialIdeal.from_exponents(
+    m4 = MonomialIdeal(
         4, [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
     )
     table = betti_table(m4, 0)
@@ -330,13 +330,13 @@ def test_cycle_regularity_matches_jacques(n):
     # Jacques (PhD thesis, Sheffield, 2004): reg I(C_n) is nu + 1 for
     # n = 0, 1 (mod 3) and nu + 2 for n = 2 (mod 3), where nu = n // 3.
     edges = [tuple(int(v in (i, (i + 1) % n)) for v in range(n)) for i in range(n)]
-    cycle = MonomialIdeal.from_exponents(n, edges)
+    cycle = MonomialIdeal(n, edges)
     expected = n // 3 + (2 if n % 3 == 2 else 1)
     assert regularity(cycle, 0) == regularity(cycle, 2) == expected
 
 
 def test_stable_truncation_regularity_equals_top_degree():
-    comp = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
+    comp = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
     cut = comp.truncate(3)
     assert regularity(cut, 0) == 3 == cut.deg()
 

@@ -77,7 +77,7 @@ def test_restricted_flag_for_uncovered_vertices():
 
 
 def test_ideal_checks_mark_hypergraph_claims_na():
-    mixed = MonomialIdeal.from_exponents(
+    mixed = MonomialIdeal(
         3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)]
     )
     report = run_ideal_checks(mixed, source="mixed")
@@ -98,7 +98,7 @@ def test_ideal_checks_reject_trivial_ideals():
     with pytest.raises(ValueError):
         run_ideal_checks(MonomialIdeal(2))
     with pytest.raises(ValueError):
-        run_ideal_checks(MonomialIdeal.from_exponents(2, [(0, 0)]))
+        run_ideal_checks(MonomialIdeal(2, [(0, 0)]))
 
 
 def test_bench_row_shape():

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import pytest
 
@@ -239,7 +240,7 @@ def test_bench_counts_every_failed_claim(in_repo_root, capsys, monkeypatch):
     code, expected_csv, err = run(capsys, argv)
     assert (code, err) == (0, "")
     monkeypatch.setattr(
-        checks, "alexander_dual", lambda ideal, c: MonomialIdeal.from_exponents(len(c), [c])
+        checks, "alexander_dual", lambda ideal, c: MonomialIdeal(len(c), [c])
     )
     code, out, err = run(capsys, argv)
     assert code == 1
@@ -270,7 +271,7 @@ def test_bench_writes_a_blank_row_for_a_guarded_instance(in_repo_root, capsys, m
         assert record["guard"].startswith("truncation at t=36 in n=12 variables:")
     # A claim failure outranks a guard.
     monkeypatch.setattr(
-        checks, "alexander_dual", lambda ideal, c: MonomialIdeal.from_exponents(len(c), [c])
+        checks, "alexander_dual", lambda ideal, c: MonomialIdeal(len(c), [c])
     )
     code, failing_out, err = run(capsys, [*argv, "--count", "3", "--seed", "3"])
     assert code == 1
@@ -457,6 +458,73 @@ def test_nonpositive_increment_is_an_input_error(in_repo_root, capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: increment d must be a positive integer\n"
+
+
+def run_small(capsys, argv):
+    # A guard that fires before any allocation of the refused size keeps
+    # the call's peak far below the 100 MB a range of 10^7 vertices takes.
+    tracemalloc.start()
+    try:
+        result = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    return result
+
+
+def test_gen_refuses_a_huge_vertex_count(in_repo_root, capsys):
+    code, out, err = run_small(capsys, ["gen", "--n", "10000000", "--s", "2", "--d", "1"])
+    assert (code, out) == (3, "")
+    assert err == "guard: n=10000000 vertices exceed the desk-scale limit 100000\n"
+
+
+def test_vertex_guard_covers_hypergraph_files(tmp_path, capsys, monkeypatch):
+    instance = tmp_path / "chain.json"
+    instance.write_text('{"n": 6, "d": 1, "edges": [[1, 2], [1, 2, 3]]}')
+    monkeypatch.setattr(hypergraphs, "MAX_VERTICES", 5)
+    for command in (["check"], ["dual"], ["reg"]):
+        code, out, err = run(capsys, [*command, str(instance)])
+        assert (code, out) == (3, "")
+        assert err == "guard: n=6 vertices exceed the desk-scale limit 5\n"
+
+
+@pytest.mark.parametrize(
+    "ranges, cells",
+    [
+        (["--s-range", "2:100000000"], 4 * 99999999 * 2),
+        (["--n-range", "4:100000000", "--s-range", "2:3"], 99999997 * 2 * 2),
+    ],
+)
+def test_bench_refuses_a_huge_enumeration(in_repo_root, capsys, ranges, cells):
+    code, out, err = run_small(capsys, ["bench", *ranges, "--count", "1"])
+    assert (code, out) == (3, "")
+    assert err == (
+        f"guard: {cells} (n, s, d) cells in the given ranges exceed the desk-scale "
+        "limit 100000\n"
+    )
+
+
+def test_bench_cell_guard_at_its_limit(in_repo_root, capsys, monkeypatch):
+    # The golden sweep lists 4 * 3 * 2 = 24 cells.
+    argv = ["bench", "--count", "30", "--seed", "7"]
+    golden = (in_repo_root / "fixtures/golden/bench_n4to7_count30_seed7.csv").read_text()
+    monkeypatch.setattr(cli, "MAX_BENCH_CELLS", 24)
+    assert run(capsys, argv) == (0, golden, "")
+    monkeypatch.setattr(cli, "MAX_BENCH_CELLS", 23)
+    assert run(capsys, argv) == (
+        3,
+        "",
+        "guard: 24 (n, s, d) cells in the given ranges exceed the desk-scale limit 23\n",
+    )
+
+
+def test_check_rejects_a_negative_exponent(tmp_path, capsys):
+    instance = tmp_path / "negative.json"
+    instance.write_text('{"n": 2, "gens": [[1, -1]]}')
+    code, out, err = run(capsys, ["check", str(instance)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {instance}: exponents must be nonnegative integers, got (1, -1)\n"
 
 
 def test_gen_infeasible(in_repo_root, capsys):

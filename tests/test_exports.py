@@ -35,6 +35,12 @@ def test_every_exported_name_resolves():
         (Monomial, "stability_shift"),
         (Monomial, "divides"),
         (hyperideal, "compositions"),
+        (MonomialIdeal, "from_exponents"),
+        (Monomial, "_trusted"),
+        (Monomial, "of"),
+        (Monomial, "is_unit"),
+        (Monomial, "n"),
+        (Monomial, "__post_init__"),
     ],
 )
 def test_removed_names_stay_gone(owner, name):

@@ -33,6 +33,14 @@ def test_parse_errors_carry_source():
         parse_input('{"n": "3", "d": 1, "edges": [[1, 2]]}')
     with pytest.raises(InputError, match="length"):
         parse_input('{"n": 2, "gens": [[1, 0, 0]]}')
+    # Exponent rows are checked by the ideal's constructor; the parser
+    # puts the source in front of its message.
+    rows = [("[1, 0, 0]", "length n=2"), ("[1.5, 0]", "integers"), ("[true, 0]", "integers")]
+    for row, words in rows:
+        with pytest.raises(InputError, match=f"^stuff.json: .*{words}"):
+            parse_input(f'{{"n": 2, "gens": [[0, 1], {row}]}}', source="stuff.json")
+    with pytest.raises(InputError, match="list of exponent vectors"):
+        parse_input('{"n": 2, "gens": [3]}')
     with pytest.raises(InputError, match="nested"):
         parse_input('{"n": 4, "d": 1, "edges": [[1, 2], [1, 3, 4]]}')
 
@@ -50,7 +58,7 @@ def test_fixture_round_trip(repo_root):
 
 
 def test_ideal_round_trip():
-    ideal = MonomialIdeal.from_exponents(3, [(2, 0, 0), (0, 1, 1)])
+    ideal = MonomialIdeal(3, [(2, 0, 0), (0, 1, 1)])
     assert parse_input(dump_input(ideal)) == ideal
 
 

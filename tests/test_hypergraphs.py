@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperideal import hypergraphs
+from hyperideal.homology import GuardError
 from hyperideal.hypergraphs import (
     build_hypergraph,
     canonical_vertex_order,
@@ -58,14 +59,14 @@ def test_containment_vector_chain():
 
 def test_inclusion_ideal_chain():
     ideal = inclusion_ideal(chain4())
-    assert ideal == MonomialIdeal.from_exponents(
+    assert ideal == MonomialIdeal(
         4, [(3, 3, 0, 0), (2, 2, 2, 0), (1, 1, 1, 1)]
     )
 
 
 def test_special_dual_chain():
     dual, comps = special_dual(chain4())
-    expected = MonomialIdeal.from_exponents(
+    expected = MonomialIdeal(
         4,
         [
             (3, 0, 0, 0),
@@ -175,6 +176,39 @@ def test_random_instance_infeasible():
         random_instance(4, 2, 3, seed=0)
     with pytest.raises(ValueError, match="positive"):
         random_instance(4, 1, 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build, args, name",
+    [
+        (build_hypergraph, (3.5, 1, CHAIN_4[:2]), "vertex count n"),
+        (build_hypergraph, (3, 1.0, CHAIN_4[:2]), "increment d"),
+        (build_hypergraph, (True, 1, CHAIN_4[:2]), "vertex count n"),
+        (build_hypergraph, (0, 1, CHAIN_4[:2]), "vertex count n"),
+        (random_instance, (6.0, 1, 2, 0), "vertex count n"),
+        (random_instance, (6, True, 2, 0), "increment d"),
+        (random_instance, (6, 1, 2.0, 0), "edge count s"),
+        (random_instance, (6, 1, 0, 0), "edge count s"),
+    ],
+)
+def test_sizes_must_be_positive_ints(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+        build(*args)
+
+
+def test_vertex_guard(monkeypatch):
+    # At the limit both builders answer, one vertex above it both refuse;
+    # the guard changes no draw below it.
+    drawn = random_instance(6, 1, 3, seed=11)
+    monkeypatch.setattr(hypergraphs, "MAX_VERTICES", 6)
+    assert random_instance(6, 1, 3, seed=11) == drawn
+    assert build_hypergraph(6, 1, drawn.edges) == drawn
+    monkeypatch.setattr(hypergraphs, "MAX_VERTICES", 5)
+    message = "^n=6 vertices exceed the desk-scale limit 5$"
+    with pytest.raises(GuardError, match=message):
+        random_instance(6, 1, 3, seed=11)
+    with pytest.raises(GuardError, match=message):
+        build_hypergraph(6, 1, drawn.edges)
 
 
 @given(hypergraph_params())

@@ -21,14 +21,14 @@ from hyperideal.monomials import Monomial, canonical_sorted, compositions, divid
 
 
 def ideal_of(n, *vectors):
-    return MonomialIdeal.from_exponents(n, vectors)
+    return MonomialIdeal(n, vectors)
 
 
 def component_ideal(powers):
     """The validated pure-power ideal of the irreducible component with
     exponent vector ``powers``."""
     n = len(powers)
-    return MonomialIdeal.from_exponents(
+    return MonomialIdeal(
         n, (tuple(p if k == i else 0 for k in range(n)) for i, p in enumerate(powers) if p)
     )
 
@@ -41,7 +41,7 @@ def fold(components):
 
 def intersect(a, b):
     """Intersection via pairwise lcms of generators, then minimization."""
-    return MonomialIdeal.from_exponents(
+    return MonomialIdeal(
         a.n, (tuple(map(max, g.exponents, h.exponents)) for g in a.gens for h in b.gens)
     )
 
@@ -61,7 +61,7 @@ def reference_intersect(components):
                 cands.append(g)
             else:
                 cands.extend(g[:i] + (v[i],) + g[i + 1 :] for i in supp)
-    return MonomialIdeal.from_exponents(n, cands)
+    return MonomialIdeal(n, cands)
 
 
 def reference_irredundant_filter(components):
@@ -94,7 +94,7 @@ def gen_lists(n):
 def small_ideals(n_max=4):
     """Nonzero proper ideals with a handful of small generators."""
     return st.integers(min_value=2, max_value=n_max).flatmap(
-        lambda n: gen_lists(n).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
+        lambda n: gen_lists(n).map(lambda vs: MonomialIdeal(n, vs))
     )
 
 
@@ -102,21 +102,21 @@ def ideal_pairs(n_max=4):
     return st.integers(min_value=2, max_value=n_max).flatmap(
         lambda n: st.tuples(gen_lists(n), gen_lists(n)).map(
             lambda pair: (
-                MonomialIdeal.from_exponents(n, pair[0]),
-                MonomialIdeal.from_exponents(n, pair[1]),
+                MonomialIdeal(n, pair[0]),
+                MonomialIdeal(n, pair[1]),
             )
         )
     )
 
 
 def test_minimal_generators_drops_multiples():
-    gens = [Monomial.of(1, 0), Monomial.of(1, 1), Monomial.of(0, 2)]
-    assert MonomialIdeal(2, gens).gens == (Monomial.of(1, 0), Monomial.of(0, 2))
+    gens = [(1, 0), (1, 1), (0, 2)]
+    assert MonomialIdeal(2, gens).gens == (Monomial((1, 0)), Monomial((0, 2)))
 
 
 def test_minimal_generators_dedups():
-    gens = [Monomial.of(1, 1), Monomial.of(1, 1)]
-    assert MonomialIdeal(2, gens).gens == (Monomial.of(1, 1),)
+    gens = [(1, 1), [1, 1]]
+    assert MonomialIdeal(2, gens).gens == (Monomial((1, 1)),)
 
 
 @given(small_ideals())
@@ -188,7 +188,7 @@ def reference_truncate(ideal, t):
             cands.append(g.exponents)
         else:
             cands.extend(tuple(map(add, g.exponents, w)) for w in compositions(gap, (gap,) * ideal.n))
-    return MonomialIdeal.from_exponents(ideal.n, cands)
+    return MonomialIdeal(ideal.n, cands)
 
 
 # Zero vectors allowed, so the unit ideal and generators of every degree
@@ -198,7 +198,7 @@ any_ideals = st.integers(min_value=1, max_value=6).flatmap(
         st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
         min_size=1,
         max_size=5,
-    ).map(lambda vs: MonomialIdeal.from_exponents(n, vs))
+    ).map(lambda vs: MonomialIdeal(n, vs))
 )
 
 
@@ -457,7 +457,7 @@ def test_fold_scan_guard(monkeypatch):
 def test_trusted_ideal_equals_validated(ideal):
     vectors = [g.exponents for g in ideal.gens] * 2
     trusted = MonomialIdeal._of_minimal(ideal.n, canonical_sorted(vectors))
-    validated = MonomialIdeal.from_exponents(ideal.n, vectors)
+    validated = MonomialIdeal(ideal.n, vectors)
     assert trusted == validated == ideal
     assert hash(trusted) == hash(validated)
     assert trusted.gens == validated.gens

@@ -12,6 +12,7 @@ from hyperideal.monomials import (
     canonical_sorted,
     compositions,
     divides_any,
+    exponent_vector,
 )
 
 exponent_vectors = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5)
@@ -31,30 +32,74 @@ def pairs_same_ambient():
 
 
 def test_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        Monomial((1, -1))
-    with pytest.raises(ValueError):
-        Monomial(())
-    with pytest.raises(ValueError):
-        Monomial((True, 0))
+    for bad in [(1, -1), (), (True, 0), (1.5, 0), ("1", 0), (None,)]:
+        with pytest.raises(ValueError):
+            exponent_vector(bad)
+    with pytest.raises(ValueError, match="length n=3"):
+        exponent_vector((1, 1), 3)
+    # The length is checked before the entries.
+    with pytest.raises(ValueError, match="length n=3"):
+        exponent_vector((1, -1), 3)
+    with pytest.raises(ValueError, match=r"nonnegative integers, got \(1, -1\)"):
+        exponent_vector([1, -1], 2)
 
 
 def test_constructors():
-    assert Monomial.of(2, 0, 1) == Monomial((2, 0, 1))
-    assert Monomial.of(0, 0, 0).is_unit()
+    assert exponent_vector([2, 0, 1]) == (2, 0, 1)
+    assert exponent_vector(iter((2, 0, 1)), 3) == (2, 0, 1)
+    rows = [[2, 0, 1], (0, 1, 0)]
+    assert MonomialIdeal(3, rows) == MonomialIdeal(3, map(tuple, rows))
+    assert MonomialIdeal(3, rows).gens == (Monomial((0, 1, 0)), Monomial((2, 0, 1)))
+
+
+entries = st.one_of(
+    st.integers(min_value=-3, max_value=6),
+    st.booleans(),
+    st.floats(allow_nan=False, min_value=-2, max_value=4),
+    st.sampled_from(["1", "x", None]),
+)
+
+
+def ambient_and_rows():
+    # Rows are exponent vectors of length n or arbitrary lists, mixed.
+    def rows(n):
+        vectors = st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n)
+        return st.lists(st.one_of(vectors, st.lists(entries, max_size=5)), max_size=4)
+
+    return st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(st.just(n), rows(n)))
+
+
+@given(ambient_and_rows())
+def test_ideal_accepts_exactly_the_exponent_vectors(case):
+    n, rows = case
+    valid = all(
+        len(row) == n and all(type(e) is int and e >= 0 for e in row) for row in rows
+    )
+    if valid:
+        ideal = MonomialIdeal(n, rows)
+        assert all(ideal.contains(tuple(row)) for row in rows)
+    else:
+        with pytest.raises(ValueError):
+            MonomialIdeal(n, rows)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, True, "2", None])
+def test_ideal_rejects_a_bad_ambient_dimension(n):
+    with pytest.raises(ValueError, match="ambient dimension must be a positive integer"):
+        MonomialIdeal(n, [(1, 0)])
 
 
 def test_degree_max_index():
-    u = Monomial.of(3, 0, 2)
+    u = Monomial((3, 0, 2))
     assert u.degree() == 5
     assert u.max_index() == 3
     with pytest.raises(ValueError):
-        Monomial.of(0, 0).max_index()
+        Monomial((0, 0)).max_index()
 
 
 def test_ambient_mismatch():
     # The public entries that take a raw exponent tuple check its length.
-    ideal = MonomialIdeal.from_exponents(3, [(1, 1, 0), (0, 0, 2)])
+    ideal = MonomialIdeal(3, [(1, 1, 0), (0, 0, 2)])
     for u in [(1, 1), (1, 1, 0, 0)]:
         with pytest.raises(ValueError, match="ambient dimension mismatch"):
             ideal.contains(u)
@@ -70,9 +115,9 @@ def test_divides_iff_componentwise(pair):
 
 
 def test_str_forms():
-    assert str(Monomial.of(0, 0, 0)) == "1"
-    assert str(Monomial.of(3, 3, 0, 0)) == "x1^3*x2^3"
-    assert str(Monomial.of(1, 0, 1, 1)) == "x1*x3*x4"
+    assert str(Monomial((0, 0, 0))) == "1"
+    assert str(Monomial((3, 3, 0, 0))) == "x1^3*x2^3"
+    assert str(Monomial((1, 0, 1, 1))) == "x1*x3*x4"
 
 
 def test_compositions_count_and_order():
@@ -99,16 +144,6 @@ def test_compositions_match_filtered_product(total, caps):
     box = itertools.product(*(range(c + 1) for c in caps))
     expected = [v for v in box if sum(v) == total][::-1]
     assert list(compositions(total, caps)) == expected
-
-
-@given(pairs_same_ambient())
-def test_trusted_values_equal_validated(pair):
-    u, v = pair
-    for exps in (u, tuple(map(max, u, v))):
-        derived, validated = Monomial._trusted(exps), Monomial(exps)
-        assert derived == validated
-        assert hash(derived) == hash(validated)
-        assert repr(derived) == repr(validated)
 
 
 def test_divides_any():
