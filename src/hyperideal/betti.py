@@ -26,11 +26,18 @@ from .monomials import canonical_sorted
 
 MAX_GENERATORS = 20
 
+# Most points the lcm lattice may hold as its fold grows: the largest any
+# test, golden or benchmark seed builds has 685 (the dual of the chain with
+# |E_1| = 4, d = 1, s = 3).  The 11-cycle (485) answers, the 12-cycle (852)
+# is refused, and (x_1, ..., x_20) would list 2^20 - 1 points in 12.7 s.
+MAX_LATTICE_POINTS = 700
+
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """All least common multiples of nonempty generator subsets, as
     distinct exponent tuples in canonical order: one fold that adds each
-    generator and its join with every lcm found before it."""
+    generator and its join with every lcm found before it, refused as soon
+    as it holds more than ``MAX_LATTICE_POINTS``."""
     if ideal.is_zero:
         raise ValueError("the zero ideal has no lcm lattice")
     if len(ideal._exps) > MAX_GENERATORS:
@@ -39,9 +46,14 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
             f"{MAX_GENERATORS}"
         )
     seen: set[tuple[int, ...]] = set()
-    for g in ideal._exps:
+    for k, g in enumerate(ideal._exps, start=1):
         seen |= {tuple(map(max, b, g)) for b in seen}
         seen.add(g)
+        if len(seen) > MAX_LATTICE_POINTS:
+            raise GuardError(
+                f"{len(seen)} lcm lattice points after {k} of {len(ideal._exps)} "
+                f"generators exceed the desk-scale limit {MAX_LATTICE_POINTS}"
+            )
     return canonical_sorted(seen)
 
 

@@ -49,6 +49,10 @@ BENCH_SCHEMA_COMMENT = "# hyperideal bench schema v1"
 # 10^5 cells takes 0.02 s and 7 MB, 10^6 cells 0.2 s and 76 MB.
 MAX_BENCH_CELLS = 10**5
 
+# Most instances one bench sweep may draw: 1,000 at the default ranges
+# take 7.3 s, so the limit is about 75 s of work there.
+MAX_BENCH_INSTANCES = 10**4
+
 
 def _check_out(out: str) -> None:
     """Refuse an --out target before any work, creating or truncating
@@ -117,7 +121,6 @@ def cmd_dual(args) -> int:
 
 
 def cmd_check(args) -> int:
-    validate_characteristic(args.char)
     obj = load_path(args.input)
     if isinstance(obj, IncreasingHypergraph):
         report = run_hypergraph_checks(
@@ -144,7 +147,6 @@ def _input_ideal(path: str):
 
 
 def cmd_betti(args) -> int:
-    validate_characteristic(args.char)
     ideal = _input_ideal(args.input)
     table = betti_table(ideal, char=args.char)
     _emit(table.render() + "\n", args.out)
@@ -152,7 +154,6 @@ def cmd_betti(args) -> int:
 
 
 def cmd_reg(args) -> int:
-    validate_characteristic(args.char)
     ideal = _input_ideal(args.input)
     table = betti_table(ideal, char=args.char)
     _emit(f"reg={table.regularity()} (char {args.char})\n", args.out)
@@ -160,12 +161,13 @@ def cmd_reg(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    validate_characteristic(args.char)
     n_range = _parse_range(args.n_range, "--n-range")
     s_range = _parse_range(args.s_range, "--s-range")
     d_set = _parse_set(args.d_set, "--d-set")
     if args.count < 0:
         raise InputError("--count must be nonnegative")
+    if args.count > MAX_BENCH_INSTANCES:
+        raise GuardError(f"--count {args.count} exceeds the desk-scale limit {MAX_BENCH_INSTANCES}")
     cells = len(n_range) * len(s_range) * len(d_set)
     if cells > MAX_BENCH_CELLS:
         raise GuardError(
@@ -211,11 +213,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        h = random_instance(args.n, args.d, args.s, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _emit(dump_input(h), args.out)
+    _emit(dump_input(random_instance(args.n, args.d, args.s, seed=args.seed)), args.out)
     return EXIT_PASS
 
 
@@ -286,6 +284,7 @@ def main(argv=None) -> int:
     try:
         if args.out is not None:
             _check_out(args.out)
+        validate_characteristic(getattr(args, "char", 0))  # dual and gen take no --char
         return args.func(args)
     except ValueError as exc:  # InputError is a ValueError
         sys.stderr.write(f"error: {exc}\n")

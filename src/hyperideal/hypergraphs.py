@@ -54,17 +54,21 @@ def _check_sizes(n: int, d: int, s: int = 1) -> None:
 def build_hypergraph(n: int, d: int, edges) -> IncreasingHypergraph:
     """Validate and build a nested hypergraph.
 
-    Each violated requirement gets its own error: the sizes n and d, vertex
-    range, first-edge size, nesting, and the size increment.
+    This is the one check of a hypergraph from outside.  Each violated
+    requirement gets its own error: the sizes n and d, each vertex's type
+    and range, first-edge size, nesting, and the size increment.
     """
     _check_sizes(n, d)
-    edge_sets = tuple(frozenset(e) for e in edges)
+    edge_sets = []
+    for k, e in enumerate(edges, start=1):
+        for v in e:  # raw labels, before hashing: [2] gets this message too
+            if type(v) is not int:
+                raise ValueError(f"edge {k}: vertex labels must be integers, got {type(v).__name__}")
+            if not 1 <= v <= n:
+                raise ValueError(f"edge {k}: vertex index {v} out of range 1..{n}")
+        edge_sets.append(frozenset(e))
     if not edge_sets:
         raise ValueError("at least one edge is required")
-    for k, e in enumerate(edge_sets, start=1):
-        for v in e:
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
-                raise ValueError(f"edge {k}: vertex index {v!r} out of range 1..{n}")
     if len(edge_sets[0]) < 2:
         raise ValueError(f"first edge must have at least 2 vertices, has {len(edge_sets[0])}")
     for k in range(len(edge_sets) - 1):
@@ -76,7 +80,7 @@ def build_hypergraph(n: int, d: int, edges) -> IncreasingHypergraph:
                 f"increment mismatch: edge {k + 2} has {len(hi)} vertices, "
                 f"expected {len(lo)} + {d}"
             )
-    return IncreasingHypergraph(n=n, d=d, edges=edge_sets)
+    return IncreasingHypergraph(n=n, d=d, edges=tuple(edge_sets))
 
 
 def containment_vector(h: IncreasingHypergraph) -> tuple[int, ...]:

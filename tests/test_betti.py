@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperideal import homology
+from hyperideal import betti, homology
 from hyperideal.betti import (
     MAX_GENERATORS,
     _signed_subset_counts,
@@ -246,6 +246,20 @@ def test_lcm_lattice_guard():
         lcm_lattice(big)
     with pytest.raises(ValueError):
         lcm_lattice(MonomialIdeal(2))
+
+
+def test_lcm_lattice_point_guard(monkeypatch):
+    # (x1, ..., x4) has 15 lattice points: at a cap of 15 it answers, at 14
+    # the fold refuses after its last generator.
+    ideal = MonomialIdeal(4, [tuple(int(i == j) for j in range(4)) for i in range(4)])
+    monkeypatch.setattr(betti, "MAX_LATTICE_POINTS", 15)
+    assert len(lcm_lattice(ideal)) == 15
+    monkeypatch.setattr(betti, "MAX_LATTICE_POINTS", 14)
+    with pytest.raises(
+        GuardError,
+        match="^15 lcm lattice points after 4 of 4 generators exceed the desk-scale limit 14$",
+    ):
+        lcm_lattice(ideal)
 
 
 @given(small_ideals(n_max=4, e_max=3, max_gens=7))

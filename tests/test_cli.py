@@ -406,8 +406,13 @@ def test_fold_scan_guard_refuses_every_command(tmp_path, capsys, monkeypatch, co
             [[int(i == k) + int(j == k) for k in range(6)] for i in range(6) for j in range(i, 6)],
             "21 generators exceed the desk-scale limit 20",
         ),
+        # (x_1, ..., x_20): the fold passes 700 points at its tenth generator.
+        (
+            [[int(i == k) for k in range(20)] for i in range(20)],
+            "1023 lcm lattice points after 10 of 20 generators exceed the desk-scale limit 700",
+        ),
     ],
-    ids=["ground_set", "generators"],
+    ids=["ground_set", "generators", "lattice_points"],
 )
 def test_check_reports_oracle_guards_as_skipped(tmp_path, capsys, gens, detail):
     instance = tmp_path / "ideal.json"
@@ -519,6 +524,63 @@ def test_bench_cell_guard_at_its_limit(in_repo_root, capsys, monkeypatch):
     )
 
 
+def test_bench_refuses_a_huge_count(in_repo_root, capsys):
+    code, out, err = run_small(capsys, ["bench", "--count", "100000000"])
+    assert (code, out) == (3, "")
+    assert err == "guard: --count 100000000 exceeds the desk-scale limit 10000\n"
+
+
+def test_bench_count_guard_at_its_limit(in_repo_root, capsys, monkeypatch):
+    argv = ["bench", "--count", "30", "--seed", "7"]
+    golden = (in_repo_root / "fixtures/golden/bench_n4to7_count30_seed7.csv").read_text()
+    monkeypatch.setattr(cli, "MAX_BENCH_INSTANCES", 30)
+    assert run(capsys, argv) == (0, golden, "")
+    monkeypatch.setattr(cli, "MAX_BENCH_INSTANCES", 29)
+    assert run(capsys, argv) == (3, "", "guard: --count 30 exceeds the desk-scale limit 29\n")
+
+
+DEEP = "[" * 1200 + "]" * 1200
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"n": 3, "d": 1, "edges": [[1, true], [1, 2, 3]]}',
+        b'{"n": 3, "d": 1, "edges": [[1, 2.0], [1, 2, 3]]}',
+        b'{"n": 3, "d": 1, "edges": [[1, [2]], [1, 2, 3]]}',
+        b'{"n": 3, "d": 1, "edges": [[1, {}], [1, 2, 3]]}',
+        b'{"n": 1e400, "gens": [[1]]}',
+        b'{"n": "3", "gens": [[1, 0, 0]]}',
+        b'{"n": true, "gens": [[1]]}',
+        b'{"n": 1, "gens": [[1]]} \xff',
+        DEEP.encode(),
+        b'{"n": 1, "gens": [' + DEEP.encode() + b"]}",
+        b'{"n": 3, "d": 1, "edges": [[1, ' + DEEP.encode() + b"]]}",
+    ],
+    ids=[
+        "bool_vertex",
+        "float_vertex",
+        "list_vertex",
+        "dict_vertex",
+        "n_overflow",
+        "n_string",
+        "n_bool",
+        "not_utf8",
+        "deep_top",
+        "deep_row",
+        "deep_edge",
+    ],
+)
+def test_malformed_file_is_one_error_line(tmp_path, capsys, content):
+    instance = tmp_path / "bad.json"
+    instance.write_bytes(content)
+    for command in ("check", "dual", "reg"):
+        code, out, err = run(capsys, [command, str(instance)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {instance}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_check_rejects_a_negative_exponent(tmp_path, capsys):
     instance = tmp_path / "negative.json"
     instance.write_text('{"n": 2, "gens": [[1, -1]]}')
@@ -572,7 +634,7 @@ def test_unwritable_out_is_an_input_error(in_repo_root, tmp_path, capsys, monkey
 
 
 def test_reg_refuses_unwritable_out_before_the_table(tmp_path, capsys, monkeypatch):
-    # The 12-cycle edge ideal takes seconds; the missing folder is refused first.
+    # The missing folder is refused before any work: no Betti table is built.
     instance = tmp_path / "cycle12.json"
     gens = [[int(v in (i, (i + 1) % 12)) for v in range(12)] for i in range(12)]
     instance.write_text(json.dumps({"n": 12, "gens": gens}))
@@ -607,4 +669,4 @@ def test_unknown_subcommand_exits_two(in_repo_root, capsys):
 def test_missing_input_file(in_repo_root, capsys):
     code, _, err = run(capsys, ["check", "no/such/file.json"])
     assert code == 2
-    assert "cannot read" in err
+    assert err.startswith("error: no/such/file.json: cannot read ")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hyperideal.formats import (
@@ -22,7 +24,7 @@ def test_parse_ideal():
     assert len(obj.gens) == 2
 
 
-def test_parse_errors_carry_source():
+def test_parse_errors_carry_source(tmp_path):
     with pytest.raises(InputError, match="stuff.json"):
         parse_input("not json", source="stuff.json")
     with pytest.raises(InputError, match="edges.*gens|gens.*edges"):
@@ -43,10 +45,27 @@ def test_parse_errors_carry_source():
         parse_input('{"n": 2, "gens": [3]}')
     with pytest.raises(InputError, match="nested"):
         parse_input('{"n": 4, "d": 1, "edges": [[1, 2], [1, 3, 4]]}')
+    # "n" and the vertex labels are checked once, by MonomialIdeal and
+    # build_hypergraph; the parser only prefixes the source.
+    with pytest.raises(
+        InputError, match="^stuff.json: ambient dimension must be a positive integer, got '3'$"
+    ):
+        parse_input('{"n": "3", "gens": [[1, 0, 0]]}', source="stuff.json")
+    with pytest.raises(
+        InputError, match="^stuff.json: edge 2: vertex labels must be integers, got list$"
+    ):
+        parse_input('{"n": 3, "d": 1, "edges": [[1, 2], [1, 2, [3]]]}', source="stuff.json")
+    deep = "[" * 1200 + "]" * 1200
+    with pytest.raises(InputError, match=r"^stuff.json: not valid JSON \(nested too deeply\)$"):
+        parse_input(deep, source="stuff.json")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"n": 1, "gens": [[1]]} \xe9')
+    with pytest.raises(InputError, match=f"^{re.escape(str(latin))}: cannot read \\('utf-8' codec"):
+        load_path(str(latin))
 
 
 def test_load_path_missing_file():
-    with pytest.raises(InputError, match="cannot read"):
+    with pytest.raises(InputError, match="^/nonexistent/thing.json: cannot read "):
         load_path("/nonexistent/thing.json")
 
 
