@@ -38,8 +38,6 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     distinct exponent tuples in canonical order: one fold that adds each
     generator and its join with every lcm found before it, refused as soon
     as it holds more than ``MAX_LATTICE_POINTS``."""
-    if ideal.is_zero:
-        raise ValueError("the zero ideal has no lcm lattice")
     if len(ideal._exps) > MAX_GENERATORS:
         raise GuardError(
             f"{len(ideal._exps)} generators exceed the desk-scale limit "
@@ -112,8 +110,6 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     """Exact multigraded Betti numbers of the ideal over a field of the
     given characteristic."""
     validate_characteristic(char)
-    if ideal.is_zero:
-        raise ValueError("the zero ideal has no betti table")
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     # Most lattice points repeat a nerve ranked before; the memo lives for
     # this call only.

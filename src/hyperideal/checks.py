@@ -321,9 +321,6 @@ def run_ideal_checks(
 ) -> CheckReport:
     """Ideal-level subset of the suite for inputs with no hypergraph
     structure.  Hypergraph-only claims are reported as not applicable."""
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("checks need a proper nonzero monomial ideal")
-
     cap = tuple(map(max, zip(*ideal._exps)))
     dual = alexander_dual(ideal, cap)
     stability = is_stable(ideal)

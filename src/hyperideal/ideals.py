@@ -97,21 +97,26 @@ def _degree_members(
 
 
 class MonomialIdeal:
-    """A monomial ideal in n variables, built from exponent vectors of
-    length n and stored minimized and sorted.
+    """A proper nonzero monomial ideal in n variables, built from exponent
+    vectors of length n and stored minimized and sorted.
 
-    The zero ideal (no generators) and the unit ideal (generated by 1)
-    are representable and flagged via :attr:`is_zero` / :attr:`is_unit`;
-    the structural operations (degree, max index, duality, stability)
-    reject them.
+    The constructor refuses the zero ideal (no generators) and the unit
+    ideal (a generator 1, also when it absorbs others), so every ideal
+    has a generator and none of them is 1.  Truncation, duality and
+    relabelling build only such ideals from such ideals, and nothing
+    downstream checks for the two cases again.
     """
 
     __slots__ = ("n", "_exps", "_gens")
 
-    def __init__(self, n: int, gens: Iterable[Sequence[int]] = ()):
+    def __init__(self, n: int, gens: Iterable[Sequence[int]]):
         if type(n) is not int or n < 1:
             raise ValueError(f"ambient dimension must be a positive integer, got {n!r}")
-        self._fill(n, _minimize(exponent_vector(g, n) for g in gens))
+        minimal = _minimize(exponent_vector(g, n) for g in gens)
+        if not minimal or not any(minimal[0]):
+            kind = "unit" if minimal else "zero"
+            raise ValueError(f"the {kind} ideal is refused: an ideal must be proper and nonzero")
+        self._fill(n, minimal)
 
     @classmethod
     def _of_minimal(cls, n: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
@@ -137,6 +142,9 @@ class MonomialIdeal:
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 
+    # Always false since the constructor refuses both cases; kept only
+    # because perfbench's trace hook for stability shift tests reads them,
+    # and removed with the next benchmark change (ROADMAP item 3B).
     @property
     def is_zero(self) -> bool:
         return not self._exps
@@ -157,8 +165,6 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.n}, {list(self.gens)!r})"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         return ", ".join(str(g) for g in self.gens)
 
     def contains(self, u: tuple[int, ...]) -> bool:
@@ -179,8 +185,6 @@ class MonomialIdeal:
         before enumerating when C(t+n-1, n-1), the number of degree-t
         monomials, exceeds ``MAX_TRUNCATION``.
         """
-        if self.is_zero:
-            raise ValueError("truncation of the zero ideal is undefined")
         degrees = [sum(g) for g in self._exps]
         if min(degrees) >= t:
             return self
@@ -197,14 +201,10 @@ class MonomialIdeal:
 
     def deg(self) -> int:
         """Highest degree among the minimal generators."""
-        if self.is_zero:
-            raise ValueError("degree of the zero ideal is undefined")
         return max(map(sum, self._exps))
 
     def max_index(self) -> int:
         """Largest variable index occurring in any minimal generator."""
-        if self.is_zero or self.is_unit:
-            raise ValueError("max index undefined for the zero and unit ideals")
         return next(i for i in range(self.n, 0, -1) if any(g[i - 1] for g in self._exps))
 
 
@@ -272,12 +272,11 @@ def _dual_powers(ideal: MonomialIdeal, c: Sequence[int]) -> list[tuple[int, ...]
     generator x^g, in generator order: v_i = c_i + 1 - g_i where g_i >= 1
     and v_i = 0 where g_i = 0.
 
-    The one validation of a dual's input, in this order: a zero or unit
-    ideal, a c of the wrong length, an entry of c that is not a
-    nonnegative integer, a generator that does not divide x^c.
+    The one validation of a dual's input, in this order: a c of the
+    wrong length, an entry of c that is not a nonnegative integer, a
+    generator that does not divide x^c.  The ideal is proper and nonzero
+    by construction, so every vector has a positive entry.
     """
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("dual undefined for the zero and unit ideals")
     c = tuple(c)
     if len(c) != ideal.n:
         raise ValueError(f"degree vector length {len(c)} != ambient {ideal.n}")

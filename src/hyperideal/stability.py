@@ -84,8 +84,6 @@ def _witness(
 
 def is_stable(ideal: MonomialIdeal) -> StabilityReport:
     """Generator-level stability check with the witness of :func:`_witness`."""
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("stability undefined for the zero and unit ideals")
     witness = _witness(ideal, ideal)
     return StabilityReport(ideal, witness is None, witness)
 
@@ -94,8 +92,6 @@ def is_stable_exhaustive(ideal: MonomialIdeal, degree_bound: int) -> bool:
     """Check the stability condition on every member up to ``degree_bound``,
     not just the generators.  Agrees with :func:`is_stable` once the bound
     reaches deg(I) + n."""
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("stability undefined for the zero and unit ideals")
     n = ideal.n
     for deg in range(1, degree_bound + 1):
         for u in compositions(deg, (deg,) * n):
@@ -125,8 +121,6 @@ def t_bound(a: Sequence[int]) -> int:
 
 def q_bound(ideal: MonomialIdeal) -> int:
     """m(I) * (deg(I) - 1) + 1, the generic truncation bound."""
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("bound undefined for the zero and unit ideals")
     return ideal.max_index() * (ideal.deg() - 1) + 1
 
 
@@ -187,7 +181,5 @@ def truncation_stability(ideal: MonomialIdeal, t: int) -> StabilityReport:
     when the truncation has thousands.
     """
     truncated = ideal.truncate(t)
-    if truncated.is_zero or truncated.is_unit:
-        return StabilityReport(truncated, True, None)
     witness = _witness(truncated, ideal)
     return StabilityReport(truncated, witness is None, witness)

@@ -68,7 +68,7 @@ def has_nerve_side_point(ideal):
 def nerve_side_ideals():
     return st.integers(min_value=3, max_value=6).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n),
+            st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n).filter(any),
             min_size=2,
             max_size=6,
         ).map(lambda vs: MonomialIdeal(n, vs))
@@ -244,8 +244,8 @@ def test_lcm_lattice_guard():
     )
     with pytest.raises(GuardError):
         lcm_lattice(big)
-    with pytest.raises(ValueError):
-        lcm_lattice(MonomialIdeal(2))
+    with pytest.raises(ValueError, match="zero ideal is refused"):
+        lcm_lattice(MonomialIdeal(2, []))
 
 
 def test_lcm_lattice_point_guard(monkeypatch):

@@ -95,9 +95,10 @@ def test_ideal_checks_mark_hypergraph_claims_na():
 
 
 def test_ideal_checks_reject_trivial_ideals():
-    with pytest.raises(ValueError):
-        run_ideal_checks(MonomialIdeal(2))
-    with pytest.raises(ValueError):
+    # The constructor refuses both before the checks run.
+    with pytest.raises(ValueError, match="zero ideal is refused"):
+        run_ideal_checks(MonomialIdeal(2, []))
+    with pytest.raises(ValueError, match="unit ideal is refused"):
         run_ideal_checks(MonomialIdeal(2, [(0, 0)]))
 
 

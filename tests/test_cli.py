@@ -556,6 +556,8 @@ DEEP = "[" * 1200 + "]" * 1200
         DEEP.encode(),
         b'{"n": 1, "gens": [' + DEEP.encode() + b"]}",
         b'{"n": 3, "d": 1, "edges": [[1, ' + DEEP.encode() + b"]]}",
+        b'{"n": 2, "gens": []}',
+        b'{"n": 2, "gens": [[0, 0]]}',
     ],
     ids=[
         "bool_vertex",
@@ -569,12 +571,14 @@ DEEP = "[" * 1200 + "]" * 1200
         "deep_top",
         "deep_row",
         "deep_edge",
+        "zero_ideal",
+        "unit_ideal",
     ],
 )
 def test_malformed_file_is_one_error_line(tmp_path, capsys, content):
     instance = tmp_path / "bad.json"
     instance.write_bytes(content)
-    for command in ("check", "dual", "reg"):
+    for command in ("check", "dual", "betti", "reg"):
         code, out, err = run(capsys, [command, str(instance)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {instance}: ") and err.count("\n") == 1

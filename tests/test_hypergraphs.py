@@ -16,6 +16,7 @@ from hyperideal.hypergraphs import (
 )
 from hyperideal.ideals import MonomialIdeal, alexander_dual
 from hyperideal.monomials import divides_any
+from test_ideals import assert_proper_nonzero, derived_ideals
 
 CHAIN_4 = [[1, 2], [1, 2, 3], [1, 2, 3, 4]]
 
@@ -128,6 +129,18 @@ def test_restricted_components_follow_the_block_formula(h):
             i - block_of[v] + 1 if block_of[v] <= i else 0 for v in range(1, restricted.n + 1)
         )
         assert comp == expected
+
+
+@given(hypergraph_params())
+@settings(max_examples=60)
+def test_chain_pipeline_derives_only_proper_nonzero_ideals(params):
+    # The chains keep up to five edge-free vertices, which the restricted
+    # dual drops.
+    h = random_instance(*params)
+    dual, comps = special_dual(h)
+    for ideal in (inclusion_ideal(h), dual, restricted_dual(h, dual, comps)[1]):
+        for derived in [ideal, *derived_ideals(ideal)]:
+            assert_proper_nonzero(derived)
 
 
 def test_canonical_order_sorts_blocks():

@@ -24,6 +24,11 @@ def ideal_of(n, *vectors):
     return MonomialIdeal(n, vectors)
 
 
+def maximal_ideal(n):
+    """(x_1, ..., x_n)."""
+    return MonomialIdeal(n, (tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
 def component_ideal(powers):
     """The validated pure-power ideal of the irreducible component with
     exponent vector ``powers``."""
@@ -127,14 +132,19 @@ def test_minimal_generators_pairwise_incomparable(ideal):
 
 
 def test_zero_and_unit():
-    z = MonomialIdeal(3)
-    assert z.is_zero and not z.gens
-    one = ideal_of(3, (0, 0, 0))
-    assert one.is_unit
-    assert str(z) == "0"
-    assert str(one) == "1"
-    assert one.contains((0, 0, 0))
-    assert not z.contains((1, 0, 0))
+    # The constructor refuses both, so every ideal is proper and nonzero;
+    # there is no default for the generators.
+    zero = "^the zero ideal is refused: an ideal must be proper and nonzero$"
+    unit = "^the unit ideal is refused: an ideal must be proper and nonzero$"
+    with pytest.raises(TypeError):
+        MonomialIdeal(3)
+    for gens in ([], iter(())):
+        with pytest.raises(ValueError, match=zero):
+            MonomialIdeal(3, gens)
+    # 1 absorbs every other generator when the list is minimized.
+    for gens in ([(0, 0, 0)], [(1, 0, 0), (0, 0, 0), (0, 2, 1)]):
+        with pytest.raises(ValueError, match=unit):
+            MonomialIdeal(3, gens)
 
 
 def test_contains():
@@ -172,8 +182,9 @@ def test_truncate_noop_and_errors():
     ideal = ideal_of(2, (1, 1))
     assert ideal.truncate(0) is ideal
     assert ideal.truncate(-2) is ideal
-    with pytest.raises(ValueError):
-        MonomialIdeal(2).truncate(1)
+    # The zero ideal, whose truncation is undefined, cannot be built.
+    with pytest.raises(ValueError, match="zero ideal"):
+        MonomialIdeal(2, []).truncate(1)
 
 
 def reference_truncate(ideal, t):
@@ -191,11 +202,10 @@ def reference_truncate(ideal, t):
     return MonomialIdeal(ideal.n, cands)
 
 
-# Zero vectors allowed, so the unit ideal and generators of every degree
-# from 0 up appear.
+# From one variable up, with generators of every degree from 1 up.
 any_ideals = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(
-        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n).filter(any),
         min_size=1,
         max_size=5,
     ).map(lambda vs: MonomialIdeal(n, vs))
@@ -215,6 +225,28 @@ def test_truncate_matches_padding_reference(ideal, data):
         assert cut is ideal
 
 
+def assert_proper_nonzero(ideal):
+    """Some generator, and none of them 1: the canonical order would put
+    the all-zero tuple first."""
+    assert ideal._exps and any(ideal._exps[0])
+
+
+def derived_ideals(ideal):
+    """The ideals the pipeline derives from one ideal: its truncations at
+    t = 0..deg+3 and its dual with respect to the exponent cap."""
+    cap = tuple(map(max, zip(*ideal._exps)))
+    return [ideal.truncate(t) for t in range(ideal.deg() + 4)] + [alexander_dual(ideal, cap)]
+
+
+@given(any_ideals)
+@settings(max_examples=150)
+def test_pipeline_derives_only_proper_nonzero_ideals(ideal):
+    # Nothing downstream of the constructor checks for the zero or unit
+    # ideal, because truncation and duality never derive one.
+    for derived in derived_ideals(ideal):
+        assert_proper_nonzero(derived)
+
+
 def test_truncate_generators_at_above_and_below_t():
     ideal = ideal_of(3, (1, 0, 0), (0, 2, 0), (0, 0, 3))
     cut = ideal.truncate(2)
@@ -222,14 +254,13 @@ def test_truncate_generators_at_above_and_below_t():
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 3)
     ]
     assert cut == reference_truncate(ideal, 2)
-    unit = ideal_of(3, (0, 0, 0))
-    assert unit.truncate(2).gens == tuple(map(Monomial, compositions(2, (2, 2, 2))))
+    assert maximal_ideal(3).truncate(2).gens == tuple(map(Monomial, compositions(2, (2, 2, 2))))
 
 
 def test_truncate_guard():
     # C(49+13, 13) is about 8.3e12 degree-49 monomials in 14 variables.
     with pytest.raises(GuardError) as exc:
-        ideal_of(14, (0,) * 14).truncate(49)
+        maximal_ideal(14).truncate(49)
     message = str(exc.value)
     assert "\n" not in message
     assert "t=49" in message and "n=14" in message
@@ -280,8 +311,6 @@ def test_dual_rejects_generator_outside_box():
 @settings(max_examples=60)
 def test_dual_involution_with_cap(ideal):
     cap = tuple(max(g.exponents[i] for g in ideal.gens) for i in range(ideal.n))
-    if ideal.is_unit:
-        return
     dual = alexander_dual(ideal, cap)
     assert alexander_dual(dual, cap) == ideal
 
@@ -309,7 +338,7 @@ def test_gens_wrapped_once_on_first_read():
     cut = ideal.truncate(3)
     assert cut._gens is None  # truncate, ==, hash and deg read exponent tuples
     assert cut == ideal.truncate(3) and hash(cut) == hash(ideal.truncate(3))
-    assert (cut.deg(), cut.is_zero, cut.is_unit) == (3, False, False)
+    assert (cut.deg(), cut.max_index()) == (3, 3)
     assert cut._gens is None
     assert cut.gens is cut.gens
     assert [g.exponents for g in cut.gens] == list(cut._exps)
@@ -399,22 +428,23 @@ def test_alexander_dual_matches_components_and_reference_fold(ideal, data):
 
 
 @pytest.mark.parametrize(
-    "ideal, c, message",
+    "gens, c, message",
     [
-        (MonomialIdeal(2), (True, 0, 0), "dual undefined for the zero and unit ideals"),
-        (ideal_of(2, (0, 0)), (-1,), "dual undefined for the zero and unit ideals"),
-        (ideal_of(2, (3, 1)), (True, -1, 0), "degree vector length 3 != ambient 2"),
-        (ideal_of(2, (3, 1)), (-1, 0), "exponents must be nonnegative integers, got (-1, 0)"),
-        (ideal_of(2, (3, 1)), (True, 0), "exponents must be nonnegative integers, got (True, 0)"),
-        (ideal_of(2, (3, 0), (0, 2)), (2, 1), "generator x2^2 does not divide x^c with c=[2, 1]"),
+        ([], (True, 0, 0), "the zero ideal is refused: an ideal must be proper and nonzero"),
+        ([(0, 0)], (-1,), "the unit ideal is refused: an ideal must be proper and nonzero"),
+        ([(3, 1)], (True, -1, 0), "degree vector length 3 != ambient 2"),
+        ([(3, 1)], (-1, 0), "exponents must be nonnegative integers, got (-1, 0)"),
+        ([(3, 1)], (True, 0), "exponents must be nonnegative integers, got (True, 0)"),
+        ([(3, 0), (0, 2)], (2, 1), "generator x2^2 does not divide x^c with c=[2, 1]"),
     ],
     ids=["zero", "unit", "length", "negative", "bool", "outside_box"],
 )
-def test_dual_errors_identical_and_in_order(ideal, c, message):
+def test_dual_errors_identical_and_in_order(gens, c, message):
     # Each input also breaks every later rule, so the first rule broken
-    # is the one reported.
+    # is the one reported; the constructor refuses the zero and unit
+    # ideals before the dual sees them.
     with pytest.raises(ValueError) as exc:
-        alexander_dual(ideal, c)
+        alexander_dual(MonomialIdeal(2, gens), c)
     assert str(exc.value) == message
 
 

@@ -81,9 +81,10 @@ def test_stable_examples():
 
 
 def test_stability_rejects_degenerate_ideals():
-    with pytest.raises(ValueError, match="undefined"):
-        is_stable(MonomialIdeal(2))
-    with pytest.raises(ValueError, match="undefined"):
+    # The constructor refuses both before stability is asked.
+    with pytest.raises(ValueError, match="zero ideal is refused"):
+        is_stable(MonomialIdeal(2, []))
+    with pytest.raises(ValueError, match="unit ideal is refused"):
         is_stable(MonomialIdeal(2, [(0, 0)]))
 
 
@@ -215,8 +216,8 @@ def test_q_bound():
     assert q_bound(mixed) == 4
     linear = MonomialIdeal(2, [(1, 0), (0, 1)])
     assert q_bound(linear) == 1
-    with pytest.raises(ValueError):
-        q_bound(MonomialIdeal(2))
+    with pytest.raises(ValueError, match="zero ideal is refused"):
+        q_bound(MonomialIdeal(2, []))
 
 
 def test_pure_power_truncation_stable():
