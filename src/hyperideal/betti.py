@@ -12,13 +12,31 @@ on itself or on the nerve of its facets, whichever side bounds fewer
 faces.  The nerve fixes the homology, so one table ranks each distinct
 nerve once: a dict kept for the length of one ``betti_table`` call
 answers every later point with the same nerve and top facet size.
+
+The ideals of the paper are symmetric: the special dual of a uniformly
+increasing hypergraph is unchanged by permuting the vertices inside E_1 or
+inside any E_k minus E_{k-1}, and a stable truncation of pure powers is a
+power of the maximal ideal, which no permutation changes.  Variables i and
+j are interchangeable when swapping coordinates i and j maps the minimal
+generators onto themselves; such swaps compose, so they fall into classes
+whose every permutation fixes the ideal.  A permutation that fixes the
+ideal maps the lcm lattice onto itself and K^b onto a relabelled K^(sigma b),
+so both have the same reduced homology over every field (Miller and
+Sturmfels, Combinatorial Commutative Algebra, ch. 1 and 5).  A table
+therefore builds K^b only at one point of each orbit, the one whose values
+are sorted descending inside each class, and copies its dimensions to the
+rest of the orbit from a dict kept for the length of one call.  Twin
+variables, on which every generator agrees, never split a lattice point
+and form no class.  The lattice guards fire before any class is sought,
+and an orbit shares its support size and its cone test, so the guards
+answer as they would at every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import gt, lt
+from itertools import combinations, compress
+from operator import gt, lt, ne
 
 from .homology import GuardError, SimplicialComplex, _maximal, validate_characteristic
 from .ideals import MonomialIdeal
@@ -106,16 +124,65 @@ class BettiTable:
         return "\n".join(lines)
 
 
+def _interchangeable_classes(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The classes, as sorted 0-based coordinate tuples, of variables any
+    permutation of which maps the generators ``exps`` onto themselves,
+    keeping only classes on which some generator takes two values.
+
+    The swap of i and j fixes the generators exactly when every generator
+    g with g_i != g_j has a partner that differs from it in coordinates i
+    and j alone, with the two values swapped.  Partners have one degree, so
+    pairing the generators of each degree finds every partner in at most
+    O(s^2 n), and no pair of columns is compared.
+    """
+    n = len(exps[0])
+    by_degree: dict[int, list[int]] = {}
+    for k, g in enumerate(exps):
+        by_degree.setdefault(sum(g), []).append(k)
+    paired: dict[tuple[int, int], set[int]] = {}
+    for same in by_degree.values():
+        for k, m in combinations(same, 2):
+            g, h = exps[k], exps[m]
+            differ = list(compress(range(n), map(ne, g, h)))
+            if len(differ) == 2:
+                i, j = differ
+                if g[i] == h[j] and g[j] == h[i]:
+                    paired.setdefault((i, j), set()).update((k, m))
+    classes: dict[int, frozenset[int]] = {}
+    for (i, j), partners in paired.items():
+        if len(partners) == sum(g[i] != g[j] for g in exps):
+            merged = classes.get(i, frozenset((i,))) | classes.get(j, frozenset((j,)))
+            classes.update(dict.fromkeys(merged, merged))
+    return sorted({tuple(sorted(c)) for c in classes.values()})
+
+
+def _representative(b: tuple[int, ...], classes: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The point of b's orbit with its values sorted descending inside each
+    class: the lexicographically largest, so canonical order reaches it
+    first."""
+    rep = list(b)
+    for cls in classes:
+        for k, v in zip(cls, sorted((b[k] for k in cls), reverse=True)):
+            rep[k] = v
+    return tuple(rep)
+
+
 def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     """Exact multigraded Betti numbers of the ideal over a field of the
     given characteristic."""
     validate_characteristic(char)
+    lattice = lcm_lattice(ideal)
+    classes = _interchangeable_classes(ideal._exps)
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    # Most lattice points repeat a nerve ranked before; the memo lives for
-    # this call only.
+    # Most lattice points repeat a nerve ranked before, or an orbit met
+    # before; both dicts live for this call only.
     memo: dict = {}
-    for b in lcm_lattice(ideal):
-        for offset, dim in enumerate(koszul_complex(ideal, b).reduced_homology_dims(char, memo)):
+    orbit_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for b in lattice:
+        rep = _representative(b, classes) if classes else b
+        if rep not in orbit_dims:
+            orbit_dims[rep] = koszul_complex(ideal, rep).reduced_homology_dims(char, memo)
+        for offset, dim in enumerate(orbit_dims[rep]):
             if dim:
                 entries[(offset, b)] = dim
     return BettiTable(ideal.n, char, entries)

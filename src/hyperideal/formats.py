@@ -1,8 +1,9 @@
 """JSON input and output for hypergraphs and ideals.
 
 Two shapes are accepted and told apart by their top-level key: an object
-with "edges" is a hypergraph, one with "gens" is a bare ideal.  Vertex
-labels are 1-based, generator rows are exponent vectors of length n.
+with "edges" is a hypergraph, one with "gens" is a bare ideal, and one
+with both is refused.  Vertex labels are 1-based, generator rows are
+exponent vectors of length n.
 The parser checks only the JSON shape; ``build_hypergraph`` and
 ``MonomialIdeal`` check the values, and every error names its source.
 """
@@ -35,9 +36,12 @@ def parse_input(text: str, source: str = "<input>") -> InputObject:
         raise InputError(f"{source}: not valid JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise InputError(f"{source}: expected a JSON object at top level")
-    key = next((k for k in _ROWS if k in data), None)
-    if key is None:
+    keys = [k for k in _ROWS if k in data]
+    if not keys:
         raise InputError(f'{source}: need either an "edges" or a "gens" key')
+    if len(keys) > 1:
+        raise InputError(f'{source}: holds both an "edges" and a "gens" key; give one')
+    key = keys[0]
     rows = data[key]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError(f'{source}: "{key}" must be a list of {_ROWS[key]}')

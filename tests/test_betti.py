@@ -1,12 +1,14 @@
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperideal import betti, homology
 from hyperideal.betti import (
     MAX_GENERATORS,
+    _interchangeable_classes,
+    _representative,
     _signed_subset_counts,
     betti_table,
     euler_consistency_check,
@@ -227,6 +229,141 @@ def test_each_table_ranks_each_nerve_once(monkeypatch):
             assert len(ranks) == first
 
     check()
+
+
+def reference_classes(ideal):
+    """Classes of interchangeable variables found by trying every pair of
+    columns: i and j are joined when swapping them maps the generators onto
+    themselves, and a class is kept when some generator takes two values on
+    it."""
+    gens = set(ideal._exps)
+    classes = {i: {i} for i in range(ideal.n)}
+    for i, j in combinations(range(ideal.n), 2):
+        swapped = {g[:i] + (g[j],) + g[i + 1 : j] + (g[i],) + g[j + 1 :] for g in gens}
+        if swapped == gens:
+            merged = classes[i] | classes[j]
+            for k in merged:
+                classes[k] = merged
+    return sorted(
+        {
+            tuple(sorted(c))
+            for c in classes.values()
+            if any(len({g[k] for k in c}) > 1 for g in gens)
+        }
+    )
+
+
+@st.composite
+def planted_symmetry_ideals(draw):
+    """Random generators closed under every permutation of one or two random
+    classes of variables, with extra columns mixed in: a twin of a column,
+    an all-zero column, or a column holding another column's values in
+    another order (equal sorted values, in general not interchangeable)."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    order = draw(st.permutations(range(n)))
+    first = draw(st.integers(min_value=2, max_value=3))
+    second = draw(st.sampled_from([0] + [2] * (n - first >= 2)))
+    blocks = [order[:first], order[first : first + second]]
+    base = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n).filter(any),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    rows = set()
+    for g in base:
+        for images in product(*(permutations(block) for block in blocks)):
+            row = list(g)
+            for block, image in zip(blocks, images):
+                for k, m in zip(block, image):
+                    row[m] = g[k]
+            rows.add(tuple(row))
+    rows = sorted(rows)
+    for kind in draw(st.lists(st.sampled_from(["twin", "zero", "shuffle"]), max_size=2)):
+        c = draw(st.integers(min_value=0, max_value=n - 1))
+        if kind == "twin":
+            column = [g[c] for g in rows]
+        elif kind == "zero":
+            column = [0] * len(rows)
+        else:
+            column = [g[c] for g in draw(st.permutations(rows))]
+        rows = [g + (v,) for g, v in zip(rows, column)]
+    ideal = MonomialIdeal(len(rows[0]), rows)
+    assume(len(ideal._exps) <= MAX_GENERATORS)
+    try:
+        assume(len(lcm_lattice(ideal)) <= 120)
+    except GuardError:
+        assume(False)
+    return ideal
+
+
+@given(planted_symmetry_ideals())
+@settings(max_examples=60)
+def test_orbit_tables_match_every_point_on_planted_symmetry(ideal):
+    assert _interchangeable_classes(ideal._exps) == reference_classes(ideal)
+    for char in (0, 2, 3):
+        assert betti_table(ideal, char).entries == betti_entries_at_every_point(ideal, char)
+
+
+def restricted_chain_dual(e1, d, s):
+    """The restricted special dual of the uniform chain E_1 of size e1,
+    each later edge adding d vertices, s edges in all."""
+    n = e1 + (s - 1) * d
+    h = build_hypergraph(n, d, [range(1, e1 + i * d + 1) for i in range(s)])
+    return restricted_dual(h, *special_dual(h))[1]
+
+
+def maximal_ideal_power(n, t):
+    """m^t in n variables, as the truncation of (x_1, ..., x_n) at t."""
+    return MonomialIdeal(n, [tuple(int(i == j) for j in range(n)) for i in range(n)]).truncate(t)
+
+
+def test_interchangeable_classes_pinned():
+    # 0-based coordinates: the chain blocks E_1 and E_k minus E_(k-1) of size >= 2.
+    assert _interchangeable_classes(restricted_chain_dual(3, 2, 2)._exps) == [(0, 1, 2), (3, 4)]
+    assert _interchangeable_classes(restricted_chain_dual(2, 1, 3)._exps) == [(0, 1)]
+    for n, t in ((2, 3), (3, 2), (4, 3)):
+        assert _interchangeable_classes(maximal_ideal_power(n, t)._exps) == [tuple(range(n))]
+    # Twins: the swap of x1 and x2 fixes the generators but splits no point.
+    assert _interchangeable_classes(MonomialIdeal(3, [(1, 1, 0), (0, 0, 1)])._exps) == []
+    # Reversed ramps: each pair of mirrored columns holds the same values,
+    # but no single swap fixes the pair of generators.
+    for n in (4, 1000):
+        ramps = MonomialIdeal(n, [range(1, n + 1), range(n, 0, -1)])
+        assert _interchangeable_classes(ramps._exps) == []
+    # The representative sorts inside each class only.
+    assert _representative((1, 3, 2, 0, 5), [(0, 1, 2), (3, 4)]) == (3, 2, 1, 5, 0)
+    assert _representative((1, 3, 2, 0, 5), [(1, 2)]) == (1, 3, 2, 0, 5)
+
+
+def test_one_koszul_complex_per_orbit(monkeypatch):
+    built = []
+    original = betti.koszul_complex
+
+    def spy(ideal, b):
+        built.append(b)
+        return original(ideal, b)
+
+    monkeypatch.setattr(betti, "koszul_complex", spy)
+    ideals = [
+        restricted_chain_dual(3, 2, 2),
+        restricted_chain_dual(2, 1, 3),
+        maximal_ideal_power(3, 3),
+        MIXED,
+        MonomialIdeal(4, [(1, 2, 3, 4), (4, 3, 2, 1)]),
+    ]
+    for ideal in ideals:
+        classes = reference_classes(ideal)
+        orbits = {_representative(b, classes) for b in lcm_lattice(ideal)}
+        for _ in range(2):
+            # The second table builds as many: nothing is kept between calls.
+            built.clear()
+            table = betti_table(ideal, 0)
+            assert sorted(built) == sorted(orbits)
+            assert table.entries == betti_entries_at_every_point(ideal, 0)
+    # Without a class every point is its own orbit.
+    assert len(built) == len(lcm_lattice(ideal)) == 3
 
 
 def test_lcm_lattice_of_mixed_ideal():

@@ -558,6 +558,7 @@ DEEP = "[" * 1200 + "]" * 1200
         b'{"n": 3, "d": 1, "edges": [[1, ' + DEEP.encode() + b"]]}",
         b'{"n": 2, "gens": []}',
         b'{"n": 2, "gens": [[0, 0]]}',
+        b'{"n": 3, "gens": [[1, 1, 0]], "edges": [[1, 2]]}',
     ],
     ids=[
         "bool_vertex",
@@ -573,6 +574,7 @@ DEEP = "[" * 1200 + "]" * 1200
         "deep_edge",
         "zero_ideal",
         "unit_ideal",
+        "both_keys",
     ],
 )
 def test_malformed_file_is_one_error_line(tmp_path, capsys, content):

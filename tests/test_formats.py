@@ -29,6 +29,11 @@ def test_parse_errors_carry_source(tmp_path):
         parse_input("not json", source="stuff.json")
     with pytest.raises(InputError, match="edges.*gens|gens.*edges"):
         parse_input('{"n": 2}')
+    # A document with both keys is refused, not read as a hypergraph.
+    with pytest.raises(
+        InputError, match='^stuff.json: holds both an "edges" and a "gens" key; give one$'
+    ):
+        parse_input('{"n": 3, "gens": [[1, 1, 0]], "edges": [[1, 2]]}', source="stuff.json")
     with pytest.raises(InputError, match="top level"):
         parse_input("[1, 2]")
     with pytest.raises(InputError, match="integer"):

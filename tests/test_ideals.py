@@ -1,4 +1,5 @@
 from functools import reduce
+from math import comb
 from operator import add
 
 import pytest
@@ -18,6 +19,7 @@ from hyperideal.ideals import (
     irredundant_filter,
 )
 from hyperideal.monomials import Monomial, canonical_sorted, compositions, divides_any
+from hyperideal.stability import t_bound
 
 
 def ideal_of(n, *vectors):
@@ -255,6 +257,25 @@ def test_truncate_generators_at_above_and_below_t():
     ]
     assert cut == reference_truncate(ideal, 2)
     assert maximal_ideal(3).truncate(2).gens == tuple(map(Monomial, compositions(2, (2, 2, 2))))
+
+
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda n: st.lists(st.integers(min_value=1, max_value=n - 1), min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=60)
+def test_criterion_5_truncation_is_a_power_of_the_maximal_ideal(a):
+    # With n - 1 >= a_1 >= ... >= a_n >= 1, t = sum(a) - max(a) exceeds
+    # sum(a_i - 1), the top degree of the standard monomials, so every
+    # degree-t monomial is a member: the truncation is m^t.
+    a = sorted(a, reverse=True)
+    n, t = len(a), t_bound(a)
+    assert t > sum(e - 1 for e in a)
+    powers = MonomialIdeal(n, [tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(a)])
+    cut = powers.truncate(t)
+    assert cut == maximal_ideal(n).truncate(t)
+    assert len(cut.gens) == comb(t + n - 1, n - 1)
 
 
 def test_truncate_guard():
