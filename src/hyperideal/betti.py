@@ -35,7 +35,7 @@ answer as they would at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from operator import gt, lt, ne
 
 from .homology import GuardError, SimplicialComplex, _maximal, validate_characteristic
@@ -55,22 +55,48 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """All least common multiples of nonempty generator subsets, as
     distinct exponent tuples in canonical order: one fold that adds each
     generator and its join with every lcm found before it, refused as soon
-    as it holds more than ``MAX_LATTICE_POINTS``."""
-    if len(ideal._exps) > MAX_GENERATORS:
+    as it holds more than ``MAX_LATTICE_POINTS``.
+
+    The fold holds each point as one int, coordinate i in the i-th field
+    of ``width`` bytes from the low end, under a guard bit that no
+    exponent reaches.  With G the guard bits of every field, (g | G) - b
+    borrows inside each field alone and leaves its guard bit set exactly
+    where g_i >= b_i; ``sel`` spreads that bit over the field's value bits,
+    so the join takes g there and b elsewhere, with no branch.  Points go
+    in and out through bytes, in time linear in n, and come out once, at
+    the end.
+    """
+    exps = ideal._exps
+    if len(exps) > MAX_GENERATORS:
         raise GuardError(
-            f"{len(ideal._exps)} generators exceed the desk-scale limit "
+            f"{len(exps)} generators exceed the desk-scale limit "
             f"{MAX_GENERATORS}"
         )
-    seen: set[tuple[int, ...]] = set()
-    for k, g in enumerate(ideal._exps, start=1):
-        seen |= {tuple(map(max, b, g)) for b in seen}
+    width = max(map(max, exps)).bit_length() // 8 + 1
+    low, size = 8 * width - 1, ideal.n * width
+    G = int.from_bytes((1 << low).to_bytes(width, "little") * ideal.n, "little")
+
+    def pack(e: tuple[int, ...]) -> int:
+        fields = b"".join(map(int.to_bytes, e, repeat(width), repeat("little")))
+        return int.from_bytes(fields, "little")
+
+    def unpack(b: int) -> tuple[int, ...]:
+        raw = b.to_bytes(size, "little")
+        if width == 1:  # exponents below 128: each byte is a coordinate
+            return tuple(raw)
+        return tuple([int.from_bytes(raw[j : j + width], "little") for j in range(0, size, width)])
+
+    seen: set[int] = set()
+    for k, g in enumerate(map(pack, exps), start=1):
+        gG = g | G
+        seen |= {b ^ ((g ^ b) & ((ge := (gG - b) & G) - (ge >> low))) for b in seen}
         seen.add(g)
         if len(seen) > MAX_LATTICE_POINTS:
             raise GuardError(
-                f"{len(seen)} lcm lattice points after {k} of {len(ideal._exps)} "
+                f"{len(seen)} lcm lattice points after {k} of {len(exps)} "
                 f"generators exceed the desk-scale limit {MAX_LATTICE_POINTS}"
             )
-    return canonical_sorted(seen)
+    return canonical_sorted(map(unpack, seen))
 
 
 def koszul_complex(ideal: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComplex:

@@ -170,9 +170,9 @@ def run_hypergraph_checks(
     regularity oracle's input) are computed on :func:`restricted_dual`;
     the display values keep the input labeling.
     """
+    dual, comps = special_dual(h)
     a = containment_vector(h)
     ideal = inclusion_ideal(h)
-    dual, comps = special_dual(h)
     restricted, dual_r, comps_r = restricted_dual(h, dual, comps)
 
     t = t_bound(a)

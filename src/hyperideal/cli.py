@@ -103,9 +103,9 @@ def cmd_dual(args) -> int:
     if not isinstance(obj, IncreasingHypergraph):
         raise InputError(f"{args.input}: dual needs a hypergraph input")
     h = obj
+    dual, comps = special_dual(h)
     a = containment_vector(h)
     ideal = inclusion_ideal(h)
-    dual, comps = special_dual(h)
     _, dual_r, _ = restricted_dual(h, dual, comps)
     lines = [
         f"n={h.n} d={h.d} s={h.s}",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import ideals
 from .homology import GuardError
 from .ideals import MonomialIdeal, _dual_powers, _intersect
 from .monomials import canonical_sorted
@@ -21,6 +22,15 @@ from .monomials import canonical_sorted
 # tuples, and `check` on a two-edge chain takes 0.7 s and 37 MB at
 # n = 10^5, 4.8 s and 217 MB at n = 10^6.
 MAX_VERTICES = 10**5
+
+# Most vertex incidences, the sum of the edge sizes, a hypergraph may hold:
+# each becomes a set entry, a JSON number and a containment count.  Under a
+# 1 GB address-space limit, `gen` on the d = 1 chains (n = s + 1) wrote
+# 1.0 M incidences (s = 1413) in 1.4 s and 169 MB, 2.0 M (s = 1999) in 2.5 s
+# and 304 MB, 4.0 M (s = 2827) in 4.8 s and 628 MB, and ran out of memory
+# at 12.5 M (s = 4999); reading the 1.0 M file back took 0.4 s and 113 MB.
+# The largest d = 1 chain within the limit has s = 1412.
+MAX_INCIDENCES = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,9 +66,17 @@ def build_hypergraph(n: int, d: int, edges) -> IncreasingHypergraph:
 
     This is the one check of a hypergraph from outside.  Each violated
     requirement gets its own error: the sizes n and d, each vertex's type
-    and range, first-edge size, nesting, and the size increment.
+    and range, first-edge size, nesting, and the size increment.  The
+    incidences, the sum of the edge sizes, are counted before any set is
+    built, and refused above ``MAX_INCIDENCES`` (``GuardError``).
     """
     _check_sizes(n, d)
+    edges = list(edges)
+    incidences = sum(map(len, edges))
+    if incidences > MAX_INCIDENCES:
+        raise GuardError(
+            f"{incidences} vertex incidences exceed the desk-scale limit {MAX_INCIDENCES}"
+        )
     edge_sets = []
     for k, e in enumerate(edges, start=1):
         for v in e:  # raw labels, before hashing: [2] gets this message too
@@ -112,7 +130,24 @@ def special_dual(
     Returns the minimized dual together with its irreducible components,
     as exponent vectors in edge order (support size ascending), the order
     in which they are folded.
+
+    The dual has |E_1|(d+1)^(s-1) minimal generators.  With B_1 = E_1 and
+    B_j = E_j minus E_(j-1), the k-th component asks some vertex of a
+    block j <= k for exponent k - j + 1, so x^u is in the dual exactly
+    when the intervals [j, j + u_x - 1], one per vertex x of block j, cover
+    1..s.  A minimal cover cuts 1..s into consecutive intervals and starts
+    each at a vertex of the block of its first index: |E_1| choices for
+    the first, and at each of 2..s either no cut or one of d vertices.
+    Above ``MAX_INTERSECTION`` the fold's last step would refuse, so the
+    count refuses first (``GuardError``), before anything of size n.
     """
+    e1, d, s = len(h.edges[0]), h.d, h.s
+    if e1 * (d + 1) ** (s - 1) > ideals.MAX_INTERSECTION:
+        raise GuardError(
+            f"special dual of a chain with |E_1|={e1}, d={d}, s={s}: "
+            f"|E_1|*(d+1)^(s-1) = {e1}*{d + 1}^{s - 1} generators exceed the "
+            f"desk-scale limit {ideals.MAX_INTERSECTION}"
+        )
     comps = tuple(
         sorted(
             _dual_powers(inclusion_ideal(h), containment_vector(h)),
@@ -198,11 +233,19 @@ def random_instance(n: int, d: int, s: int, seed: int) -> IncreasingHypergraph:
     Scheme: Mersenne-Twister ``random.Random(seed)``; the first edge is a
     uniform 2-subset of 1..n and each later edge adds d vertices sampled
     without replacement from the unused ones.  Requires 2 + (s-1)*d <= n.
+    The edges hold 2s + d*s*(s-1)/2 incidences, refused before the first
+    draw above ``MAX_INCIDENCES`` (``GuardError``).
     """
     _check_sizes(n, d, s)
     need = 2 + (s - 1) * d
     if need > n:
         raise ValueError(f"infeasible: 2 + (s-1)*d = {need} exceeds n = {n}")
+    incidences = 2 * s + d * s * (s - 1) // 2
+    if incidences > MAX_INCIDENCES:
+        raise GuardError(
+            f"n={n}, s={s}, d={d}: 2s + d*s*(s-1)/2 = {incidences} vertex incidences "
+            f"exceed the desk-scale limit {MAX_INCIDENCES}"
+        )
     rng = random.Random(seed)
     current = sorted(rng.sample(range(1, n + 1), 2))
     edges = [set(current)]

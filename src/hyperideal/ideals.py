@@ -17,7 +17,7 @@ from operator import gt
 from typing import Iterable, Sequence
 
 from .homology import GuardError
-from .monomials import Monomial, canonical_sorted, compositions, divides_any, exponent_vector
+from .monomials import Monomial, canonical_sorted, divides_any, exponent_vector
 
 # Most degree-t monomials a truncation may list: C(t+n-1, n-1) bounds
 # their number, and truncate refuses before enumerating above it.
@@ -64,10 +64,15 @@ def _degree_members(
     Coordinates are filled left to right, largest value first.  A partial
     vector keeps only the generators that still fit: g_i <= e_i on the
     coordinates filled so far, and the rest of g no larger than the
-    degree left.  A branch that keeps none is dropped.  The last
-    coordinate takes the degree left; once a kept generator has nothing
-    left to place, every completion of the degree left is a member.
+    degree left.  A branch that keeps none is dropped.  Once a kept
+    generator has nothing left to place, every completion of the degree
+    left is a member; they come from a table built once per (parts,
+    degree) for the length of this call.  The last two coordinates are
+    settled in one loop: (v, left - v) completes a member exactly when
+    some kept g has g_i <= v <= left - g_last.
     """
+    if n == 1:  # every generator divides x_1^t
+        return [(t,)]
     # Each generator travels with its tail sums, tail[i] = sum(g[i:]).
     fits = []
     for g in gens:
@@ -75,22 +80,43 @@ def _degree_members(
         for i in range(n - 1, -1, -1):
             tail[i] = tail[i + 1] + g[i]
         fits.append((g, tail))
+    # Soonest placed first: a branch's first kept generator is its first
+    # to have nothing left to place.
+    fits.sort(key=lambda gt: gt[1].index(0))
     members: list[tuple[int, ...]] = []
     last = n - 1
+    table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def completions(parts: int, degree: int) -> list[tuple[int, ...]]:
+        """Every tuple of ``parts`` entries >= 0 summing to ``degree``,
+        lexicographically descending."""
+        key = (parts, degree)
+        if key not in table:
+            if parts == 1:
+                table[key] = [(degree,)]
+            else:
+                table[key] = [
+                    (v,) + c for v in range(degree, -1, -1) for c in completions(parts - 1, degree - v)
+                ]
+        return table[key]
 
     def fill(head: tuple[int, ...], left: int, active: list) -> None:
         i = len(head)
-        if i == last:
-            members.append(head + (left,))
-            return
-        if any(not tail[i] for _, tail in active):
-            members.extend(head + c for c in compositions(left, (left,) * (n - i)))
-            return
-        for v in range(left, -1, -1):
-            rest = left - v
-            keep = [gt for gt in active if gt[0][i] <= v and gt[1][i + 1] <= rest]
-            if keep:
-                fill(head + (v,), rest, keep)
+        if not active[0][1][i]:
+            members.extend([head + c for c in completions(n - i, left)])
+        elif i == last - 1:
+            spans = [(g[i], left - g[last]) for g, _ in active]
+            for v in range(left, -1, -1):
+                for lo, hi in spans:
+                    if lo <= v <= hi:
+                        members.append(head + (v, left - v))
+                        break
+        else:
+            for v in range(left, -1, -1):
+                rest = left - v
+                keep = [gt for gt in active if gt[0][i] <= v and gt[1][i + 1] <= rest]
+                if keep:
+                    fill(head + (v,), rest, keep)
 
     fill((), t, fits)
     return members

@@ -399,18 +399,57 @@ def test_lcm_lattice_point_guard(monkeypatch):
         lcm_lattice(ideal)
 
 
-@given(small_ideals(n_max=4, e_max=3, max_gens=7))
-@settings(max_examples=60)
-def test_lcm_lattice_is_every_subset_lcm_in_canonical_order(ideal):
-    gens = [g.exponents for g in ideal.gens]
+def subset_lcms(ideal):
+    """Every lcm of a nonempty generator subset, in canonical order: degree
+    ascending, lexicographically descending within a degree."""
+    gens = ideal._exps
     lcms = {
         tuple(map(max, zip(*subset)))
         for size in range(1, len(gens) + 1)
         for subset in combinations(gens, size)
     }
-    # Degree ascending, lexicographically descending within a degree.
-    expected = sorted(lcms, key=lambda e: (sum(e), [-x for x in e]))
-    assert lcm_lattice(ideal) == expected
+    return sorted(lcms, key=lambda e: (sum(e), [-x for x in e]))
+
+
+@given(small_ideals(n_max=4, e_max=3, max_gens=7))
+@settings(max_examples=60)
+def test_lcm_lattice_is_every_subset_lcm_in_canonical_order(ideal):
+    assert lcm_lattice(ideal) == subset_lcms(ideal)
+
+
+# Exponents on both sides of each packed field width: one byte holds up to
+# 127 below its guard bit, two bytes from 128 on, nine bytes for 2^63 and 2^70.
+FIELD_EDGES = (0, 1, 127, 128, 255, 256, 2**63, 2**70)
+
+
+def field_edge_ideals():
+    return st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.sampled_from(FIELD_EDGES)] * n).filter(any), min_size=1, max_size=6
+        ).map(lambda vs: MonomialIdeal(n, vs))
+    )
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [(128,), (1,)],
+        [(127, 1), (1, 127)],
+        [(128, 1), (1, 255)],
+        [(255, 0, 256), (256, 1, 0), (0, 128, 127)],
+        [(2**70, 0, 3), (5, 2**63, 0), (0, 1, 2**63)],
+        [(2**70, 2**63 - 1), (2**63, 2**70 - 1)],
+    ],
+)
+def test_lcm_lattice_on_field_edges_pinned(gens):
+    ideal = MonomialIdeal(len(gens[0]), gens)
+    assert lcm_lattice(ideal) == subset_lcms(ideal)
+
+
+@given(field_edge_ideals())
+@settings(max_examples=150, deadline=None)
+def test_lcm_lattice_on_field_edges_matches_subset_lcms(ideal):
+    assert lcm_lattice(ideal) == subset_lcms(ideal)
 
 
 def test_koszul_complex_void_outside_ideal():

@@ -484,6 +484,29 @@ def test_gen_refuses_a_huge_vertex_count(in_repo_root, capsys):
     assert err == "guard: n=10000000 vertices exceed the desk-scale limit 100000\n"
 
 
+@pytest.mark.parametrize("n, s, incidences", [(5000, 4999, 12502499), (100000, 99999, 5000049999)])
+def test_gen_refuses_a_chain_of_too_many_incidences(in_repo_root, capsys, n, s, incidences):
+    code, out, err = run_small(capsys, ["gen", "--n", str(n), "--s", str(s), "--d", "1"])
+    assert (code, out) == (3, "")
+    assert err == (
+        f"guard: n={n}, s={s}, d=1: 2s + d*s*(s-1)/2 = {incidences} vertex incidences "
+        "exceed the desk-scale limit 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["check"], ["dual"], ["reg"]])
+def test_special_dual_count_refuses_every_command(tmp_path, capsys, command):
+    # s = 18: the dual would hold 2 * 2^17 = 262,144 generators.
+    instance = tmp_path / "h.json"
+    assert run(capsys, ["gen", "--n", "19", "--s", "18", "--d", "1", "--out", str(instance)])[0] == 0
+    code, out, err = run(capsys, [*command, str(instance)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "guard: special dual of a chain with |E_1|=2, d=1, s=18: |E_1|*(d+1)^(s-1) = "
+        "2*2^17 generators exceed the desk-scale limit 100000\n"
+    )
+
+
 def test_vertex_guard_covers_hypergraph_files(tmp_path, capsys, monkeypatch):
     instance = tmp_path / "chain.json"
     instance.write_text('{"n": 6, "d": 1, "edges": [[1, 2], [1, 2, 3]]}')

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperideal import hypergraphs
+from hyperideal import hypergraphs, ideals
 from hyperideal.homology import GuardError
 from hyperideal.hypergraphs import (
     build_hypergraph,
@@ -222,6 +222,74 @@ def test_vertex_guard(monkeypatch):
         random_instance(6, 1, 3, seed=11)
     with pytest.raises(GuardError, match=message):
         build_hypergraph(6, 1, drawn.edges)
+
+
+def test_incidence_guard(monkeypatch):
+    # (6, 1, 3) draws 2 + 3 + 4 = 9 incidences: at a limit of 9 both builders
+    # answer with the same draw, at 8 both refuse, before any draw or set.
+    drawn = random_instance(6, 1, 3, seed=11)
+    monkeypatch.setattr(hypergraphs, "MAX_INCIDENCES", 9)
+    assert random_instance(6, 1, 3, seed=11) == drawn
+    assert build_hypergraph(6, 1, drawn.edges) == drawn
+    monkeypatch.setattr(hypergraphs, "MAX_INCIDENCES", 8)
+
+    def refuse(*args):
+        raise AssertionError("drew before the incidence guard")
+
+    monkeypatch.setattr(hypergraphs.random, "Random", refuse)
+    with pytest.raises(
+        GuardError,
+        match=r"^n=6, s=3, d=1: 2s \+ d\*s\*\(s-1\)/2 = 9 vertex incidences exceed "
+        r"the desk-scale limit 8$",
+    ):
+        random_instance(6, 1, 3, seed=11)
+    message = "^9 vertex incidences exceed the desk-scale limit 8$"
+    with pytest.raises(GuardError, match=message):
+        build_hypergraph(6, 1, drawn.edges)
+    # Counted before any vertex is looked at: a bad label is not reached.
+    with pytest.raises(GuardError, match=message):
+        build_hypergraph(6, 1, [[1, 2], [1, 2, 3], [1, 2, 3, 99]])
+
+
+@st.composite
+def relabelled_chains(draw):
+    """Chains with |E_1| = 2..4, d = 1..3 and s = 1..5 whose dual has at
+    most 600 generators, on shuffled labels with up to two free vertices."""
+    e1 = draw(st.integers(min_value=2, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=3))
+    s = draw(st.integers(min_value=1, max_value=5))
+    assume(e1 * (d + 1) ** (s - 1) <= 600)
+    n = e1 + (s - 1) * d + draw(st.integers(min_value=0, max_value=2))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return build_hypergraph(n, d, [labels[: e1 + k * d] for k in range(s)])
+
+
+@given(relabelled_chains())
+@settings(max_examples=60, deadline=None)
+def test_special_dual_has_the_counted_generators(h):
+    dual, _ = special_dual(h)
+    assert len(dual.gens) == len(h.edges[0]) * (h.d + 1) ** (h.s - 1)
+
+
+def test_special_dual_guard_counts_before_the_fold(monkeypatch):
+    # The chain with |E_1| = 3, d = 2, s = 3 has a dual of 3 * 3^2 = 27
+    # generators: at a limit of 27 it folds, at 26 it is refused before the
+    # inclusion ideal is built.
+    h = build_hypergraph(7, 2, [[1, 2, 3], [1, 2, 3, 4, 5], range(1, 8)])
+    monkeypatch.setattr(ideals, "MAX_INTERSECTION", 27)
+    assert len(special_dual(h)[0].gens) == 27
+    monkeypatch.setattr(ideals, "MAX_INTERSECTION", 26)
+
+    def refuse(*args):
+        raise AssertionError("built the inclusion ideal before the count")
+
+    monkeypatch.setattr(hypergraphs, "inclusion_ideal", refuse)
+    with pytest.raises(
+        GuardError,
+        match=r"^special dual of a chain with \|E_1\|=3, d=2, s=3: "
+        r"\|E_1\|\*\(d\+1\)\^\(s-1\) = 3\*3\^2 generators exceed the desk-scale limit 26$",
+    ):
+        special_dual(h)
 
 
 @given(hypergraph_params())

@@ -3,7 +3,7 @@ from math import comb
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperideal import ideals
@@ -225,6 +225,85 @@ def test_truncate_matches_padding_reference(ideal, data):
     assert cut.gens == expected.gens
     if all(g.degree() >= t for g in ideal.gens):
         assert cut is ideal
+
+
+def reference_degree_members(gens, n, t):
+    """The recursive listing ``_degree_members`` used to run: one call per
+    coordinate of every member, and the completions of a branch whose kept
+    generator has nothing left to place through ``compositions``."""
+    fits = [(g, [sum(g[i:]) for i in range(n + 1)]) for g in gens]
+    members = []
+
+    def fill(head, left, active):
+        i = len(head)
+        if i == n - 1:
+            members.append(head + (left,))
+            return
+        if any(not tail[i] for _, tail in active):
+            members.extend(head + c for c in compositions(left, (left,) * (n - i)))
+            return
+        for v in range(left, -1, -1):
+            rest = left - v
+            keep = [gt for gt in active if gt[0][i] <= v and gt[1][i + 1] <= rest]
+            if keep:
+                fill(head + (v,), rest, keep)
+
+    fill((), t, fits)
+    return members
+
+
+# Most degree-t monomials a drawn listing may hold, so the reference stays quick.
+DEGREE_MEMBERS_CAP = 3000
+
+
+@st.composite
+def degree_member_cases(draw):
+    """Generators in n = 1..7 variables and a t up to their top degree + 4,
+    cut where C(t+n-1, n-1) would pass DEGREE_MEMBERS_CAP; the generators
+    of degree <= t, at least one, as ``truncate`` passes them."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    gens = draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * n).filter(any),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    top = max(map(sum, gens)) + 4
+    while comb(top + n - 1, n - 1) > DEGREE_MEMBERS_CAP:
+        top -= 1
+    low = min(map(sum, gens))
+    assume(low <= top)
+    t = draw(st.integers(min_value=low, max_value=top))
+    return [g for g in gens if sum(g) <= t], n, t
+
+
+# Pinned shapes: one coordinate; two, where only the last two are settled;
+# a generator placed early, so completions of several part counts share a
+# degree; and pure powers, whose last two coordinates fit at several v.
+DEGREE_MEMBER_EXAMPLES = [
+    ([(2,)], 1, 5),
+    ([(1, 2), (3, 0)], 2, 6),
+    ([(1, 0, 0, 0, 0), (0, 0, 1, 1, 0)], 5, 3),
+    ([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)], 4, 5),
+    ([(0, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 0, 2, 0), (1, 1, 0, 0, 0, 0, 0)], 7, 4),
+]
+
+
+@pytest.mark.parametrize("gens, n, t", DEGREE_MEMBER_EXAMPLES)
+def test_degree_members_matches_recursive_reference_pinned(gens, n, t):
+    assert ideals._degree_members(gens, n, t) == reference_degree_members(gens, n, t)
+
+
+@given(degree_member_cases())
+@settings(max_examples=200, deadline=None)
+def test_degree_members_matches_recursive_reference(case):
+    gens, n, t = case
+    members = ideals._degree_members(gens, n, t)
+    assert members == reference_degree_members(gens, n, t)
+    # Each once, of degree t, in canonical order.
+    assert members == canonical_sorted(members)
+    assert all(sum(u) == t for u in members)
 
 
 def assert_proper_nonzero(ideal):
