@@ -35,8 +35,9 @@ answer as they would at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress, repeat
-from operator import gt, lt, ne
+from bisect import bisect_left
+from itertools import combinations, compress
+from operator import getitem, gt, lt, ne
 
 from .homology import GuardError, SimplicialComplex, _maximal, validate_characteristic
 from .ideals import MonomialIdeal
@@ -57,14 +58,17 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     generator and its join with every lcm found before it, refused as soon
     as it holds more than ``MAX_LATTICE_POINTS``.
 
-    The fold holds each point as one int, coordinate i in the i-th field
-    of ``width`` bytes from the low end, under a guard bit that no
-    exponent reaches.  With G the guard bits of every field, (g | G) - b
-    borrows inside each field alone and leaves its guard bit set exactly
-    where g_i >= b_i; ``sel`` spreads that bit over the field's value bits,
-    so the join takes g there and b elsewhere, with no branch.  Points go
-    in and out through bytes, in time linear in n, and come out once, at
-    the end.
+    Every coordinate of an lcm is a value some generator takes there, and
+    the join commutes with any order-preserving relabelling of one
+    column's values.  So the fold holds coordinate i as the rank of its
+    value among the distinct values of column i, at most
+    ``MAX_GENERATORS`` of them, in the i-th byte from the low end, below
+    the guard bit 7.  With G the guard bits of every byte, (g | G) - b
+    borrows inside each byte alone and leaves its guard bit set exactly
+    where g_i >= b_i; ge - (ge >> 7) spreads that bit over the byte's
+    rank bits, so the join takes g there and b elsewhere, with no branch.
+    Points go in and out through bytes, in time linear in n, and come out
+    once, at the end.
     """
     exps = ideal._exps
     if len(exps) > MAX_GENERATORS:
@@ -72,31 +76,21 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
             f"{len(exps)} generators exceed the desk-scale limit "
             f"{MAX_GENERATORS}"
         )
-    width = max(map(max, exps)).bit_length() // 8 + 1
-    low, size = 8 * width - 1, ideal.n * width
-    G = int.from_bytes((1 << low).to_bytes(width, "little") * ideal.n, "little")
-
-    def pack(e: tuple[int, ...]) -> int:
-        fields = b"".join(map(int.to_bytes, e, repeat(width), repeat("little")))
-        return int.from_bytes(fields, "little")
-
-    def unpack(b: int) -> tuple[int, ...]:
-        raw = b.to_bytes(size, "little")
-        if width == 1:  # exponents below 128: each byte is a coordinate
-            return tuple(raw)
-        return tuple([int.from_bytes(raw[j : j + width], "little") for j in range(0, size, width)])
-
+    n = ideal.n
+    columns = [sorted(set(column)) for column in zip(*exps)]
+    G = int.from_bytes(b"\x80" * n, "little")
+    packed = (int.from_bytes(bytes(map(bisect_left, columns, g)), "little") for g in exps)
     seen: set[int] = set()
-    for k, g in enumerate(map(pack, exps), start=1):
+    for k, g in enumerate(packed, start=1):
         gG = g | G
-        seen |= {b ^ ((g ^ b) & ((ge := (gG - b) & G) - (ge >> low))) for b in seen}
+        seen |= {b ^ ((g ^ b) & ((ge := (gG - b) & G) - (ge >> 7))) for b in seen}
         seen.add(g)
         if len(seen) > MAX_LATTICE_POINTS:
             raise GuardError(
                 f"{len(seen)} lcm lattice points after {k} of {len(exps)} "
                 f"generators exceed the desk-scale limit {MAX_LATTICE_POINTS}"
             )
-    return canonical_sorted(map(unpack, seen))
+    return canonical_sorted(tuple(map(getitem, columns, b.to_bytes(n, "little"))) for b in seen)
 
 
 def koszul_complex(ideal: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComplex:

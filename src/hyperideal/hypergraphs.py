@@ -11,6 +11,7 @@ vector is the object whose stability and regularity this package checks.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import ideals
@@ -138,15 +139,16 @@ def special_dual(
     1..s.  A minimal cover cuts 1..s into consecutive intervals and starts
     each at a vertex of the block of its first index: |E_1| choices for
     the first, and at each of 2..s either no cut or one of d vertices.
-    Above ``MAX_INTERSECTION`` the fold's last step would refuse, so the
-    count refuses first (``GuardError``), before anything of size n.
+    Each generator holds n entries; above ``MAX_INTERSECTION_ENTRIES`` of
+    them the fold's last step would refuse, so the count refuses first
+    (``GuardError``), before anything of size n.
     """
-    e1, d, s = len(h.edges[0]), h.d, h.s
-    if e1 * (d + 1) ** (s - 1) > ideals.MAX_INTERSECTION:
+    e1, d, s, n = len(h.edges[0]), h.d, h.s, h.n
+    if e1 * (d + 1) ** (s - 1) * n > ideals.MAX_INTERSECTION_ENTRIES:
         raise GuardError(
             f"special dual of a chain with |E_1|={e1}, d={d}, s={s}: "
-            f"|E_1|*(d+1)^(s-1) = {e1}*{d + 1}^{s - 1} generators exceed the "
-            f"desk-scale limit {ideals.MAX_INTERSECTION}"
+            f"|E_1|*(d+1)^(s-1) = {e1}*{d + 1}^{s - 1} generators of n={n} entries "
+            f"exceed the desk-scale limit {ideals.MAX_INTERSECTION_ENTRIES} entries"
         )
     comps = tuple(
         sorted(
@@ -252,7 +254,7 @@ def random_instance(n: int, d: int, s: int, seed: int) -> IncreasingHypergraph:
     free = sorted(set(range(1, n + 1)) - edges[0])
     for _ in range(s - 1):
         added = rng.sample(free, d)
-        nxt = edges[-1] | set(added)
-        free = sorted(set(free) - set(added))
-        edges.append(nxt)
+        edges.append(edges[-1] | set(added))
+        for v in added:
+            del free[bisect_left(free, v)]
     return build_hypergraph(n, d, edges)

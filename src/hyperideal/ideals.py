@@ -23,15 +23,25 @@ from .monomials import Monomial, canonical_sorted, divides_any, exponent_vector
 # their number, and truncate refuses before enumerating above it.
 MAX_TRUNCATION = 10**6
 
-# Most generators the running intersection of a fold may hold: _intersect
-# refuses as soon as it holds more.  An up-front estimate (the product of
-# the support sizes) would refuse ideals whose fold stays small.
-MAX_INTERSECTION = 10**5
+# Most entries, generators times n, the running intersection of a fold
+# may hold: _intersect refuses as soon as it holds more.  An up-front
+# estimate (the product of the support sizes) would refuse ideals whose
+# fold stays small.  Under a 1 GB address-space limit on a 2-vCPU x86-64
+# VM (Python 3.11), the dual of 16 disjoint quadrics padded to n = 61,
+# 65,536 generators and 3,997,696 entries, took 0.48 s and 67 MB; 18
+# quadrics (n = 36) are refused at component 17 after 0.38 s and 75 MB.
+# A cap of 10^5 generators let three 0/1 generators in 2,000 variables
+# run out of memory after 10.9 s.
+MAX_INTERSECTION_ENTRIES = 4 * 10**6
 
-# Most generator-against-carrier scans one step of that fold may make:
-# _intersect estimates them as |running generators| times the carriers of
-# the component's support, and refuses before a step above it.
-MAX_FOLD_SCANS = 2 * 10**7
+# Most coordinate comparisons one step of that fold may make: _intersect
+# estimates them as |running generators| times the carriers of the
+# component's support, scans of n coordinates each, and refuses before a
+# step above it.  A step at its estimate took 2 to 6 ns per comparison on
+# a 2-vCPU x86-64 VM (Python 3.11): 1.03 s at 1.7e8 (the d = 2 chain,
+# n = 16, s = 8), 2.1 s at 1.3e9 and 7.9 s at 3.9e9 (the d = 1 chain,
+# s = 10, n = 1000 and 3000), 11.3 s at 2.2e9 (d = 2, n = 20, s = 10).
+MAX_FOLD_COMPARISONS = 4 * 10**8
 
 
 def _minimize(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -254,19 +264,22 @@ def _intersect(n: int, powers: Sequence[tuple[int, ...]]) -> list[tuple[int, ...
     the next step exactly when no other generator h of this step divides
     it.  Such an h has h_i > g_i, so only the generators carrying x_i are
     scanned, indexed once per step and coordinate.  Raises ``GuardError``
-    before a step whose scans, estimated as the generators times the
-    carriers of supp(v), exceed ``MAX_FOLD_SCANS``, and as soon as a step
-    holds more than ``MAX_INTERSECTION`` generators.
+    before a step whose coordinate comparisons, estimated as the
+    generators times the carriers of supp(v) times n, exceed
+    ``MAX_FOLD_COMPARISONS``, and as soon as a step holds more than
+    ``MAX_INTERSECTION_ENTRIES`` entries, n per generator.
     """
+    max_gens = MAX_INTERSECTION_ENTRIES // n
     gens = [(0,) * n]
     for k, v in enumerate(powers, start=1):
         supp = [(i, p) for i, p in enumerate(v) if p]
         carriers = {i: [h for h in gens if h[i]] for i, _ in supp}
         scans = len(gens) * sum(map(len, carriers.values()))
-        if scans > MAX_FOLD_SCANS:
+        if scans * n > MAX_FOLD_COMPARISONS:
             raise GuardError(
                 f"intersection of {len(powers)} irreducible components: {scans:.2g} "
-                f"carrier scans at component {k} exceed the desk-scale limit {MAX_FOLD_SCANS}"
+                f"carrier scans of {n} coordinates at component {k} exceed the "
+                f"desk-scale limit {MAX_FOLD_COMPARISONS} comparisons"
             )
         step = []
         for g in gens:
@@ -283,11 +296,11 @@ def _intersect(n: int, powers: Sequence[tuple[int, ...]]) -> list[tuple[int, ...
                             break
                     else:
                         step.append(c)
-                if len(step) > MAX_INTERSECTION:
+                if len(step) > max_gens:
                     raise GuardError(
                         f"intersection of {len(powers)} irreducible components: {len(step)} "
-                        f"generators at component {k} exceed the desk-scale limit "
-                        f"{MAX_INTERSECTION}"
+                        f"generators of {n} entries at component {k} exceed the "
+                        f"desk-scale limit {MAX_INTERSECTION_ENTRIES} entries"
                     )
         gens = step
     return canonical_sorted(gens)

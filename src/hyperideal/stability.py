@@ -32,8 +32,11 @@ class StabilityWitness:
 @dataclass(frozen=True)
 class StabilityReport:
     ideal: MonomialIdeal
-    is_stable: bool
     witness: Optional[StabilityWitness]
+
+    @property
+    def is_stable(self) -> bool:
+        return self.witness is None
 
     def render(self) -> str:
         lines = [f"stable: {'yes' if self.is_stable else 'no'}"]
@@ -84,8 +87,7 @@ def _witness(
 
 def is_stable(ideal: MonomialIdeal) -> StabilityReport:
     """Generator-level stability check with the witness of :func:`_witness`."""
-    witness = _witness(ideal, ideal)
-    return StabilityReport(ideal, witness is None, witness)
+    return StabilityReport(ideal, _witness(ideal, ideal))
 
 
 def is_stable_exhaustive(ideal: MonomialIdeal, degree_bound: int) -> bool:
@@ -181,5 +183,4 @@ def truncation_stability(ideal: MonomialIdeal, t: int) -> StabilityReport:
     when the truncation has thousands.
     """
     truncated = ideal.truncate(t)
-    witness = _witness(truncated, ideal)
-    return StabilityReport(truncated, witness is None, witness)
+    return StabilityReport(truncated, _witness(truncated, ideal))

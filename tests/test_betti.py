@@ -417,8 +417,9 @@ def test_lcm_lattice_is_every_subset_lcm_in_canonical_order(ideal):
     assert lcm_lattice(ideal) == subset_lcms(ideal)
 
 
-# Exponents on both sides of each packed field width: one byte holds up to
-# 127 below its guard bit, two bytes from 128 on, nine bytes for 2^63 and 2^70.
+# Exponents on both sides of the byte edges 2^7 and 2^8 and far beyond: the
+# fold packs each coordinate as its rank among its column's values, so every
+# one of them fits in one byte below the guard bit.
 FIELD_EDGES = (0, 1, 127, 128, 255, 256, 2**63, 2**70)
 
 
@@ -450,6 +451,27 @@ def test_lcm_lattice_on_field_edges_pinned(gens):
 @settings(max_examples=150, deadline=None)
 def test_lcm_lattice_on_field_edges_matches_subset_lcms(ideal):
     assert lcm_lattice(ideal) == subset_lcms(ideal)
+
+
+def test_lcm_lattice_with_more_values_than_one_byte_holds():
+    # 20 generators whose 7 columns hold 140 distinct values in all, more
+    # than a byte counts below its guard bit, but 20 in each column.  The
+    # lcm of a subset K of 1..20 only depends on lo = min K and hi = max K.
+    def point(lo, hi):
+        return (hi, 41 - lo, 100 + hi, 200 - lo, 300 + hi, 400 - lo, 500 + hi)
+
+    gens = [point(k, k) for k in range(1, 21)]
+    assert sum(len(set(column)) for column in zip(*gens)) == 140
+    points = {point(lo, hi) for lo in range(1, 21) for hi in range(lo, 21)}
+    lattice = lcm_lattice(MonomialIdeal(7, gens))
+    assert len(lattice) == 210
+    assert lattice == sorted(points, key=lambda e: (sum(e), [-x for x in e]))
+
+
+def test_column_ranks_fit_below_the_guard_bit():
+    # A column holds at most one value per generator, and the fold keeps
+    # each rank in the seven bits below a byte's guard bit.
+    assert MAX_GENERATORS < 128
 
 
 def test_koszul_complex_void_outside_ideal():

@@ -1,10 +1,11 @@
 import functools
 import json
+import random
 import tracemalloc
 
 import pytest
 
-from hyperideal import checks, cli, hypergraphs, ideals
+from hyperideal import checks, cli, formats, hypergraphs, ideals
 from hyperideal.betti import betti_table
 from hyperideal.cli import main
 from hyperideal.formats import load_path
@@ -356,14 +357,15 @@ def test_check_refuses_disjoint_quadrics(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err == (
-        "guard: intersection of 18 irreducible components: 100002 generators "
-        "at component 17 exceed the desk-scale limit 100000\n"
+        "guard: intersection of 18 irreducible components: 111112 generators of 36 "
+        "entries at component 17 exceed the desk-scale limit 4000000 entries\n"
     )
 
 
 def test_dual_refuses_a_crawling_fold(tmp_path, capsys):
-    # The d=2 chain with s=10 has 2*3^9 = 39,366 dual generators, under the
-    # size limit; its ninth fold step would scan about 1.1e8 carriers.
+    # The d=2 chain with s=10 has 2*3^9 = 39,366 dual generators of 20
+    # entries, under the size limit; its ninth fold step would scan about
+    # 1.1e8 carriers of 20 coordinates, 2.2e9 comparisons.
     instance = tmp_path / "h.json"
     argv = ["gen", "--n", "20", "--s", "10", "--d", "2", "--seed", "1", "--out", str(instance)]
     assert run(capsys, argv)[0] == 0
@@ -371,25 +373,26 @@ def test_dual_refuses_a_crawling_fold(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err == (
-        "guard: intersection of 10 irreducible components: 1.1e+08 carrier scans "
-        "at component 9 exceed the desk-scale limit 20000000\n"
+        "guard: intersection of 10 irreducible components: 1.1e+08 carrier scans of "
+        "20 coordinates at component 9 exceed the desk-scale limit 400000000 comparisons\n"
     )
 
 
 @pytest.mark.parametrize("command", [["dual"], ["check", "--skip-reg"], ["reg"]])
 def test_fold_scan_guard_refuses_every_command(tmp_path, capsys, monkeypatch, command):
-    # The d=2 chain with s=7 estimates 96,228 scans before its sixth step
-    # and 1,023,516 before its seventh.
+    # The d=2 chain with s=7 estimates 96,228 scans of 14 coordinates
+    # (1,347,192 comparisons) before its sixth step and 1,023,516
+    # (14,329,224) before its seventh.
     instance = tmp_path / "h.json"
     argv = ["gen", "--n", "14", "--s", "7", "--d", "2", "--seed", "1", "--out", str(instance)]
     assert run(capsys, argv)[0] == 0
-    monkeypatch.setattr(ideals, "MAX_FOLD_SCANS", 10**5)
+    monkeypatch.setattr(ideals, "MAX_FOLD_COMPARISONS", 1_400_000)
     code, out, err = run(capsys, [*command, str(instance)])
     assert code == 3
     assert out == ""
     assert err == (
-        "guard: intersection of 7 irreducible components: 1e+06 carrier scans "
-        "at component 7 exceed the desk-scale limit 100000\n"
+        "guard: intersection of 7 irreducible components: 1e+06 carrier scans of "
+        "14 coordinates at component 7 exceed the desk-scale limit 1400000 comparisons\n"
     )
 
 
@@ -494,16 +497,83 @@ def test_gen_refuses_a_chain_of_too_many_incidences(in_repo_root, capsys, n, s, 
     )
 
 
+@pytest.mark.parametrize(
+    "n, command", [(100000, ["dual"]), (100000, ["check"]), (10000, ["dual"])]
+)
+def test_special_dual_count_prices_every_entry(tmp_path, capsys, monkeypatch, n, command):
+    # The d = 1 chain with s = 10 has 2 * 2^9 = 1,024 dual generators, far
+    # under any generator count, but of n entries each: 1.0e8 and 1.0e7.
+    # The count refuses before the inclusion ideal is built.
+    instance = tmp_path / "h.json"
+    argv = ["gen", "--n", str(n), "--s", "10", "--d", "1", "--out", str(instance)]
+    assert run(capsys, argv)[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("built the inclusion ideal before the count")
+
+    monkeypatch.setattr(hypergraphs, "inclusion_ideal", refuse)
+    code, out, err = run(capsys, [*command, str(instance)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "guard: special dual of a chain with |E_1|=2, d=1, s=10: |E_1|*(d+1)^(s-1) = "
+        f"2*2^9 generators of n={n} entries exceed the desk-scale limit 4000000 entries\n"
+    )
+
+
+def test_check_refuses_a_fold_over_long_generators(tmp_path, capsys):
+    # Three random 0/1 generators in 2,000 variables: after one component
+    # the fold holds about 1,000 generators, and its second step would make
+    # 4.8e5 carrier scans of 2,000 coordinates each.  Refused before that
+    # step, with no generator of it built.
+    rng = random.Random(1)
+    gens = [[rng.randint(0, 1) for _ in range(2000)] for _ in range(3)]
+    instance = tmp_path / "random01.json"
+    instance.write_text(json.dumps({"n": 2000, "gens": gens}))
+    code, out, err = run(capsys, ["check", str(instance)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "guard: intersection of 3 irreducible components: 4.8e+05 carrier scans of "
+        "2000 coordinates at component 2 exceed the desk-scale limit 400000000 comparisons\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["device", "sparse"])
+def test_inputs_past_the_byte_limit_are_guarded(tmp_path, capsys, kind):
+    # /dev/zero never ends, and a sparse file claims bytes it never wrote:
+    # both are refused after a read of MAX_INPUT_BYTES + 1 bytes.
+    path = "/dev/zero"
+    if kind == "sparse":
+        path = str(tmp_path / "sparse.json")
+        with open(path, "wb") as fh:
+            fh.truncate(formats.MAX_INPUT_BYTES + 1)
+    code, out, err = run(capsys, ["check", path])
+    assert (code, out) == (3, "")
+    assert err == f"guard: {path}: input exceeds the desk-scale limit 16000000 bytes\n"
+
+
+def test_largest_generated_chain_is_read_back(tmp_path, capsys):
+    # The d = 1 chain with s = 1412 holds 998,990 incidences, the most the
+    # incidence guard lets through at n = 10^5, and its file stays under the
+    # byte limit: `check` reads it and meets the special dual's count.
+    instance = tmp_path / "h.json"
+    argv = ["gen", "--n", "100000", "--s", "1412", "--d", "1", "--out", str(instance)]
+    assert run(capsys, argv)[0] == 0
+    assert instance.stat().st_size < formats.MAX_INPUT_BYTES
+    code, out, err = run(capsys, ["check", str(instance)])
+    assert (code, out) == (3, "")
+    assert err.startswith("guard: special dual of a chain with |E_1|=2, d=1, s=1412: ")
+
+
 @pytest.mark.parametrize("command", [["check"], ["dual"], ["reg"]])
 def test_special_dual_count_refuses_every_command(tmp_path, capsys, command):
-    # s = 18: the dual would hold 2 * 2^17 = 262,144 generators.
+    # s = 18: the dual would hold 2 * 2^17 = 262,144 generators of 19 entries.
     instance = tmp_path / "h.json"
     assert run(capsys, ["gen", "--n", "19", "--s", "18", "--d", "1", "--out", str(instance)])[0] == 0
     code, out, err = run(capsys, [*command, str(instance)])
     assert (code, out) == (3, "")
     assert err == (
         "guard: special dual of a chain with |E_1|=2, d=1, s=18: |E_1|*(d+1)^(s-1) = "
-        "2*2^17 generators exceed the desk-scale limit 100000\n"
+        "2*2^17 generators of n=19 entries exceed the desk-scale limit 4000000 entries\n"
     )
 
 

@@ -2,12 +2,15 @@ import re
 
 import pytest
 
+from hyperideal import formats
 from hyperideal.formats import (
+    MAX_INPUT_BYTES,
     InputError,
     dump_input,
     load_path,
     parse_input,
 )
+from hyperideal.homology import GuardError
 from hyperideal.hypergraphs import IncreasingHypergraph, build_hypergraph
 from hyperideal.ideals import MonomialIdeal
 
@@ -72,6 +75,31 @@ def test_parse_errors_carry_source(tmp_path):
 def test_load_path_missing_file():
     with pytest.raises(InputError, match="^/nonexistent/thing.json: cannot read "):
         load_path("/nonexistent/thing.json")
+
+
+def test_load_path_reads_at_most_the_byte_limit(tmp_path, monkeypatch):
+    # A file at the limit parses; one byte more is refused before anything
+    # is decoded, so a byte that is not UTF-8 past the limit meets the guard.
+    text = '{"n": 1, "gens": [[1]]}'
+    monkeypatch.setattr(formats, "MAX_INPUT_BYTES", len(text))
+    at = tmp_path / "at.json"
+    at.write_text(text)
+    assert load_path(str(at)) == MonomialIdeal(1, [[1]])
+    over = tmp_path / "over.json"
+    over.write_bytes(text.encode() + b"\xe9")
+    with pytest.raises(
+        GuardError,
+        match=f"^{re.escape(str(over))}: input exceeds the desk-scale limit {len(text)} bytes$",
+    ):
+        load_path(str(over))
+
+
+def test_load_path_reads_a_file_of_exactly_the_limit(tmp_path):
+    # Past its first short read, load_path reads on to the limit and no more.
+    text = '{"n": 1, "gens": [[1]]}'
+    at = tmp_path / "at.json"
+    at.write_text(text + " " * (MAX_INPUT_BYTES - len(text)))
+    assert load_path(str(at)) == MonomialIdeal(1, [[1]])
 
 
 def test_fixture_round_trip(repo_root):

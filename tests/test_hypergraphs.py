@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -184,6 +186,25 @@ def test_random_instance_deterministic():
     assert a != c
 
 
+def resorting_random_instance(n, d, s, seed):
+    """random_instance as first written: the unused vertices re-sorted from
+    a set after every edge.  Same draws, in time n per edge."""
+    rng = random.Random(seed)
+    edges = [set(sorted(rng.sample(range(1, n + 1), 2)))]
+    free = sorted(set(range(1, n + 1)) - edges[0])
+    for _ in range(s - 1):
+        added = rng.sample(free, d)
+        edges.append(edges[-1] | set(added))
+        free = sorted(set(free) - set(added))
+    return build_hypergraph(n, d, edges)
+
+
+@pytest.mark.parametrize("n, d, s", [(2, 1, 1), (7, 1, 6), (12, 2, 6), (40, 3, 9), (300, 5, 40)])
+def test_random_instance_matches_the_resorting_reference(n, d, s):
+    for seed in range(100):
+        assert random_instance(n, d, s, seed) == resorting_random_instance(n, d, s, seed)
+
+
 def test_random_instance_infeasible():
     with pytest.raises(ValueError, match="infeasible"):
         random_instance(4, 2, 3, seed=0)
@@ -273,12 +294,12 @@ def test_special_dual_has_the_counted_generators(h):
 
 def test_special_dual_guard_counts_before_the_fold(monkeypatch):
     # The chain with |E_1| = 3, d = 2, s = 3 has a dual of 3 * 3^2 = 27
-    # generators: at a limit of 27 it folds, at 26 it is refused before the
-    # inclusion ideal is built.
+    # generators of 7 entries: at a limit of 189 entries it folds, at 188 it
+    # is refused before the inclusion ideal is built.
     h = build_hypergraph(7, 2, [[1, 2, 3], [1, 2, 3, 4, 5], range(1, 8)])
-    monkeypatch.setattr(ideals, "MAX_INTERSECTION", 27)
+    monkeypatch.setattr(ideals, "MAX_INTERSECTION_ENTRIES", 189)
     assert len(special_dual(h)[0].gens) == 27
-    monkeypatch.setattr(ideals, "MAX_INTERSECTION", 26)
+    monkeypatch.setattr(ideals, "MAX_INTERSECTION_ENTRIES", 188)
 
     def refuse(*args):
         raise AssertionError("built the inclusion ideal before the count")
@@ -287,7 +308,8 @@ def test_special_dual_guard_counts_before_the_fold(monkeypatch):
     with pytest.raises(
         GuardError,
         match=r"^special dual of a chain with \|E_1\|=3, d=2, s=3: "
-        r"\|E_1\|\*\(d\+1\)\^\(s-1\) = 3\*3\^2 generators exceed the desk-scale limit 26$",
+        r"\|E_1\|\*\(d\+1\)\^\(s-1\) = 3\*3\^2 generators of n=7 entries "
+        r"exceed the desk-scale limit 188 entries$",
     ):
         special_dual(h)
 

@@ -549,16 +549,17 @@ def test_dual_errors_identical_and_in_order(gens, c, message):
 
 
 def test_intersection_guard(monkeypatch):
-    # The dual of four disjoint quadrics holds 2, 4, 8, 16 generators.
+    # The dual of four disjoint quadrics holds 2, 4, 8, 16 generators of 8
+    # entries: 128 entries at the last component.
     ideal, c = disjoint_quadrics(4), (1,) * 8
-    monkeypatch.setattr(ideals, "MAX_INTERSECTION", 16)
+    monkeypatch.setattr(ideals, "MAX_INTERSECTION_ENTRIES", 128)
     assert len(alexander_dual(ideal, c).gens) == 16
-    monkeypatch.setattr(ideals, "MAX_INTERSECTION", 15)
+    monkeypatch.setattr(ideals, "MAX_INTERSECTION_ENTRIES", 127)
     with pytest.raises(GuardError) as exc:
         alexander_dual(ideal, c)
     assert str(exc.value) == (
-        "intersection of 4 irreducible components: 16 generators at component 4 "
-        "exceed the desk-scale limit 15"
+        "intersection of 4 irreducible components: 16 generators of 8 entries at "
+        "component 4 exceed the desk-scale limit 127 entries"
     )
     with pytest.raises(GuardError):
         fold(_dual_powers(ideal, c))
@@ -567,18 +568,19 @@ def test_intersection_guard(monkeypatch):
 def test_fold_scan_guard(monkeypatch):
     # The dual of the 4-vertex chain folds (1,1,0,0), (2,2,1,0), (3,3,2,1).
     # Before the last step it holds 4 generators, 6 carrier entries on
-    # the component's support: 24 estimated scans.  The disjoint quadrics
-    # have no carriers, so only the size guard can stop them.
+    # the component's support: 24 estimated scans of 4 coordinates, 96
+    # comparisons.  The disjoint quadrics have no carriers, so only the
+    # size guard can stop them.
     comps = [(1, 1, 0, 0), (2, 2, 1, 0), (3, 3, 2, 1)]
-    monkeypatch.setattr(ideals, "MAX_FOLD_SCANS", 24)
+    monkeypatch.setattr(ideals, "MAX_FOLD_COMPARISONS", 96)
     assert fold(comps) == reference_intersect(comps)
     assert len(fold(_dual_powers(disjoint_quadrics(8), (1,) * 16)).gens) == 2**8
-    monkeypatch.setattr(ideals, "MAX_FOLD_SCANS", 23)
+    monkeypatch.setattr(ideals, "MAX_FOLD_COMPARISONS", 95)
     with pytest.raises(GuardError) as exc:
         fold(comps)
     assert str(exc.value) == (
-        "intersection of 3 irreducible components: 24 carrier scans at component 3 "
-        "exceed the desk-scale limit 23"
+        "intersection of 3 irreducible components: 24 carrier scans of 4 coordinates "
+        "at component 3 exceed the desk-scale limit 95 comparisons"
     )
 
 

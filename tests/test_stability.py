@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hyperideal.ideals import MonomialIdeal
 from hyperideal.monomials import Monomial
 from hyperideal.stability import (
+    StabilityReport,
     StabilityWitness,
     _box_stable,
     _witness,
@@ -78,6 +80,17 @@ def test_stable_examples():
     assert is_stable(MonomialIdeal(2, [(1, 0)])).is_stable
     level = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
     assert is_stable(level).is_stable
+
+
+def test_report_verdict_is_the_missing_witness():
+    # A report holds its ideal and witness; the verdict is read off the witness.
+    assert [f.name for f in fields(StabilityReport)] == ["ideal", "witness"]
+    ideal = MonomialIdeal(2, [(0, 1)])
+    report = is_stable(ideal)
+    assert report == StabilityReport(ideal, report.witness)
+    assert not report.is_stable
+    assert StabilityReport(ideal, None).is_stable
+    assert StabilityReport(ideal, None).render() == "stable: yes"
 
 
 def test_stability_rejects_degenerate_ideals():
