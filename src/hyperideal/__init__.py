@@ -12,7 +12,6 @@ from .hypergraphs import (
     covered_restriction,
     inclusion_ideal,
     random_instance,
-    restricted_dual,
     special_dual,
 )
 from .ideals import MonomialIdeal, alexander_dual, irredundant_filter
@@ -56,7 +55,6 @@ __all__ = [
     "q_bound",
     "random_instance",
     "regularity",
-    "restricted_dual",
     "run_hypergraph_checks",
     "run_ideal_checks",
     "special_dual",

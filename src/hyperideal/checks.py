@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 from .betti import betti_table, euler_consistency_check
 from .homology import GuardError
-from .hypergraphs import (
-    IncreasingHypergraph,
-    containment_vector,
-    inclusion_ideal,
-    restricted_dual,
-    special_dual,
-)
+from .hypergraphs import IncreasingHypergraph, special_dual
 from .ideals import MonomialIdeal, alexander_dual, component_str, irredundant_filter
 from .monomials import Monomial, divides_any
 from .stability import is_stable, pure_power_truncation_stable, q_bound, t_bound, truncation_stability
@@ -166,14 +160,14 @@ def run_hypergraph_checks(
 ) -> CheckReport:
     """Evaluate every claim the pipeline makes about one hypergraph.
 
-    Quantities that depend on the variable order (stability, q, the
-    regularity oracle's input) are computed on :func:`restricted_dual`;
-    the display values keep the input labeling.
+    One :func:`special_dual` call gives every quantity read here.  Those
+    that depend on the variable order (stability, q, the regularity
+    oracle's input) are computed on its ``dual_r``; the claims on the
+    inclusion ideal and the components, and the display values, keep the
+    input labeling.
     """
-    dual, comps = special_dual(h)
-    a = containment_vector(h)
-    ideal = inclusion_ideal(h)
-    restricted, dual_r, comps_r = restricted_dual(h, dual, comps)
+    sd = special_dual(h)
+    a, ideal, dual_r = sd.a, sd.ideal, sd.dual_r
 
     t = t_bound(a)
     q = q_bound(dual_r)
@@ -205,14 +199,13 @@ def run_hypergraph_checks(
         )
     )
 
-    irredundant = irredundant_filter(comps_r)
+    irredundant = irredundant_filter(sd.comps)
     supports = {frozenset(i for i, p in enumerate(v, 1) if p) for v in irredundant}
-    edge_sets = {frozenset(e) for e in restricted.edges}
     # build_hypergraph checked that the edges are nested, so equal sets form a chain.
     claims.append(
         _verdict(
             "associated_primes_chain",
-            supports == edge_sets,
+            supports == set(h.edges),
             f"{len(irredundant)} primes match the edge chain",
             "supports differ from the edge chain or are not nested",
         )
@@ -222,10 +215,10 @@ def run_hypergraph_checks(
     # the truncation guard; the component claim walks each box instead.
     trunc_report = truncation_stability(dual_r, t)
 
-    # Component i of a restricted dual lists the powers i, i-1, ..., 1 on
-    # |E_i| >= i+1 vertices, so it meets the pure-power hypothesis.  In
-    # canonical order its support is a prefix: its nonzero entries in order.
-    component_exps = [tuple(p for p in v if p) for v in comps_r]
+    # Component i carries the powers i, i-1, ..., 1 on |E_i| >= i+1
+    # vertices, so it meets the pure-power hypothesis; canonical vertex
+    # order lists them descending.
+    component_exps = [tuple(sorted(filter(None, v), reverse=True)) for v in sd.comps]
     component_ts = ",".join(str(t_bound(exps)) for exps in component_exps)
     claims.append(
         _verdict(
@@ -239,7 +232,7 @@ def run_hypergraph_checks(
     claims.append(
         _verdict(
             "dual_involution",
-            alexander_dual(dual, a) == ideal,
+            alexander_dual(sd.dual, a) == ideal,
             "double dual returns the inclusion ideal",
             "double dual differs from the inclusion ideal",
         )
@@ -298,8 +291,8 @@ def run_hypergraph_checks(
         "s": h.s,
         "a": list(a),
         "ideal": str(ideal),
-        "dual": str(dual),
-        "components": " | ".join(map(component_str, comps)),
+        "dual": str(sd.dual),
+        "components": " | ".join(map(component_str, sd.comps)),
         "deg": deg,
         "m": m,
         "t": t,
@@ -307,7 +300,7 @@ def run_hypergraph_checks(
         "t_edge_indexed": t_edge_indexed,
         "reg": reg,
         "char": char,
-        "restricted": restricted.n < h.n,
+        "restricted": dual_r.n < h.n,
         "stable_at_t": stable_at_t,
     }
     return CheckReport(source, "hypergraph", values, claims)

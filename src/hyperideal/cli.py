@@ -27,14 +27,7 @@ from .checks import (
 )
 from .formats import InputError, dump_input, load_path
 from .homology import GuardError, validate_characteristic
-from .hypergraphs import (
-    IncreasingHypergraph,
-    containment_vector,
-    inclusion_ideal,
-    random_instance,
-    restricted_dual,
-    special_dual,
-)
+from .hypergraphs import IncreasingHypergraph, random_instance, special_dual
 from .ideals import component_str
 from .stability import q_bound, t_bound
 
@@ -99,22 +92,18 @@ def _parse_set(spec: str, what: str) -> list[int]:
 
 
 def cmd_dual(args) -> int:
-    obj = load_path(args.input)
-    if not isinstance(obj, IncreasingHypergraph):
+    h = load_path(args.input)
+    if not isinstance(h, IncreasingHypergraph):
         raise InputError(f"{args.input}: dual needs a hypergraph input")
-    h = obj
-    dual, comps = special_dual(h)
-    a = containment_vector(h)
-    ideal = inclusion_ideal(h)
-    _, dual_r, _ = restricted_dual(h, dual, comps)
+    sd = special_dual(h)
     lines = [
         f"n={h.n} d={h.d} s={h.s}",
-        "a=[" + ",".join(str(e) for e in a) + "]",
-        f"ideal: {ideal}",
-        "components: " + " | ".join(map(component_str, comps)),
-        f"dual: {dual}",
-        f"deg={dual_r.deg()} m={dual_r.max_index()}",
-        f"t={t_bound(a)} q={q_bound(dual_r)}",
+        "a=[" + ",".join(str(e) for e in sd.a) + "]",
+        f"ideal: {sd.ideal}",
+        "components: " + " | ".join(map(component_str, sd.comps)),
+        f"dual: {sd.dual}",
+        f"deg={sd.dual_r.deg()} m={sd.dual_r.max_index()}",
+        f"t={t_bound(sd.a)} q={q_bound(sd.dual_r)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_PASS
@@ -142,7 +131,7 @@ def _input_ideal(path: str):
     special dual in canonical restricted form."""
     obj = load_path(path)
     if isinstance(obj, IncreasingHypergraph):
-        return restricted_dual(obj, *special_dual(obj))[1]
+        return special_dual(obj).dual_r
     return obj
 
 

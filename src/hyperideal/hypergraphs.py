@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 from . import ideals
 from .homology import GuardError
-from .ideals import MonomialIdeal, _dual_powers, _intersect
+from .ideals import MonomialIdeal, _intersect
 from .monomials import canonical_sorted
-
-# Most vertices a hypergraph may have: every later step builds n-length
-# tuples, and `check` on a two-edge chain takes 0.7 s and 37 MB at
-# n = 10^5, 4.8 s and 217 MB at n = 10^6.
-MAX_VERTICES = 10**5
 
 # Most vertex incidences, the sum of the edge sizes, a hypergraph may hold:
 # each becomes a set entry, a JSON number and a containment count.  Under a
@@ -58,8 +53,8 @@ def _check_sizes(n: int, d: int, s: int = 1) -> None:
     for name, value in (("vertex count n", n), ("increment d", d), ("edge count s", s)):
         if type(value) is not int or value < 1:
             raise ValueError(f"{name} must be a positive integer")
-    if n > MAX_VERTICES:
-        raise GuardError(f"n={n} vertices exceed the desk-scale limit {MAX_VERTICES}")
+    if n > ideals.MAX_VERTICES:
+        raise GuardError(f"n={n} vertices exceed the desk-scale limit {ideals.MAX_VERTICES}")
 
 
 def build_hypergraph(n: int, d: int, edges) -> IncreasingHypergraph:
@@ -123,14 +118,35 @@ def inclusion_ideal(h: IncreasingHypergraph) -> MonomialIdeal:
     )
 
 
-def special_dual(
-    h: IncreasingHypergraph,
-) -> tuple[MonomialIdeal, tuple[tuple[int, ...], ...]]:
-    """Dual of the inclusion ideal with respect to the containment vector.
+@dataclass(frozen=True)
+class SpecialDual:
+    """The analysis of one hypergraph, computed once by :func:`special_dual`.
 
-    Returns the minimized dual together with its irreducible components,
-    as exponent vectors in edge order (support size ascending), the order
-    in which they are folded.
+    ``a`` is the containment vector, ``ideal`` the inclusion ideal, and
+    ``dual`` its dual with respect to ``a``, with irreducible components
+    ``comps``, exponent vectors in edge order; all keep the input labels.
+    ``dual_r`` is ``dual`` in canonical vertex order with the edge-free
+    vertices, exponent 0 throughout, dropped: stability, q and the
+    regularity oracle depend on the variable order and are computed on it.
+    It is relabelled, not folded again; the dual of
+    :func:`covered_restriction` of the canonical form is its checked
+    stepwise equivalent.
+    """
+
+    a: tuple[int, ...]
+    ideal: MonomialIdeal
+    dual: MonomialIdeal
+    comps: tuple[tuple[int, ...], ...]
+    dual_r: MonomialIdeal
+
+
+def special_dual(h: IncreasingHypergraph) -> SpecialDual:
+    """Dual of the inclusion ideal with respect to the containment vector,
+    with everything the checks read of it.
+
+    Component i is the complement inside a of the generator of edge i:
+    v_x = a_x - s + i on E_i and 0 elsewhere.  Its support E_i grows with
+    i, so the components are folded in edge order.
 
     The dual has |E_1|(d+1)^(s-1) minimal generators.  With B_1 = E_1 and
     B_j = E_j minus E_(j-1), the k-th component asks some vertex of a
@@ -150,13 +166,24 @@ def special_dual(
             f"|E_1|*(d+1)^(s-1) = {e1}*{d + 1}^{s - 1} generators of n={n} entries "
             f"exceed the desk-scale limit {ideals.MAX_INTERSECTION_ENTRIES} entries"
         )
+    a = containment_vector(h)
     comps = tuple(
-        sorted(
-            _dual_powers(inclusion_ideal(h), containment_vector(h)),
-            key=lambda v: len(v) - v.count(0),
-        )
+        tuple(c - s + i if v in edge else 0 for v, c in enumerate(a, start=1))
+        for i, edge in enumerate(h.edges, start=1)
     )
-    return MonomialIdeal._of_minimal(h.n, _intersect(h.n, comps)), comps
+    dual = MonomialIdeal._of_minimal(n, _intersect(n, comps))
+    covered = _canonical_order(h)[: len(h.edges[-1])]
+    dual_r = MonomialIdeal._of_minimal(
+        len(covered), canonical_sorted(tuple(e[v - 1] for v in covered) for e in dual._exps)
+    )
+    return SpecialDual(a, inclusion_ideal(h), dual, comps, dual_r)
+
+
+def _canonical_order(h: IncreasingHypergraph) -> list[int]:
+    """The vertices by canonical label: E_1, then each E_(i+1) \\ E_i,
+    then the edge-free vertices, each block ascending."""
+    chain = (frozenset(), *h.edges, frozenset(range(1, h.n + 1)))
+    return [v for lo, hi in zip(chain, chain[1:]) for v in sorted(hi - lo)]
 
 
 def canonical_vertex_order(
@@ -169,19 +196,7 @@ def canonical_vertex_order(
     tuple p with p[old - 1] = new.  The containment vector of the result
     is nonincreasing on edge-covered vertices.
     """
-    blocks: list[list[int]] = []
-    seen: set[int] = set()
-    for edge in h.edges:
-        blocks.append(sorted(edge - seen))
-        seen |= edge
-    blocks.append(sorted(set(range(1, h.n + 1)) - seen))
-    new_of_old = [0] * h.n
-    nxt = 1
-    for block in blocks:
-        for old in block:
-            new_of_old[old - 1] = nxt
-            nxt += 1
-    perm = tuple(new_of_old)
+    perm = tuple(new for _, new in sorted(zip(_canonical_order(h), range(1, h.n + 1))))
     # A relabeling of a validated chain is a valid chain.
     new_edges = tuple(frozenset(perm[v - 1] for v in edge) for edge in h.edges)
     return IncreasingHypergraph(h.n, h.d, new_edges), perm
@@ -199,34 +214,6 @@ def covered_restriction(h: IncreasingHypergraph) -> IncreasingHypergraph:
     if r == h.n:
         return h
     return build_hypergraph(r, h.d, h.edges)
-
-
-def restricted_dual(
-    h: IncreasingHypergraph, dual: MonomialIdeal, comps: tuple[tuple[int, ...], ...]
-) -> tuple[IncreasingHypergraph, MonomialIdeal, tuple[tuple[int, ...], ...]]:
-    """The form in which every order-sensitive quantity is computed.
-
-    Stability, q and the regularity oracle depend on the variable order,
-    so the hypergraph is brought to canonical vertex order and its
-    edge-free vertices, which carry exponent 0 throughout the dual, are
-    dropped: ``dual, comps = special_dual(h)`` is relabeled, not recomputed.
-    The canonical form is restricted in place; :func:`covered_restriction`
-    is the checked stepwise equivalent.  Returns the restricted
-    hypergraph, its dual and the dual's components; nothing derived here
-    is validated again.
-    """
-    canonical, perm = canonical_vertex_order(h)
-    r = len(canonical.edges[-1])  # the covered vertices are 1..r
-    restricted = IncreasingHypergraph(r, h.d, canonical.edges)
-    covered = sorted(range(h.n), key=perm.__getitem__)[:r]  # old index by new label
-
-    def relabel(e: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(e[v] for v in covered)
-
-    dual_r = MonomialIdeal._of_minimal(
-        restricted.n, canonical_sorted(map(relabel, dual._exps))
-    )
-    return restricted, dual_r, tuple(map(relabel, comps))
 
 
 def random_instance(n: int, d: int, s: int, seed: int) -> IncreasingHypergraph:

@@ -12,12 +12,19 @@ step instead of minimizing them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import comb
 from operator import gt
 from typing import Iterable, Sequence
 
 from .homology import GuardError
 from .monomials import Monomial, canonical_sorted, divides_any, exponent_vector
+
+# Most variables an ideal, and vertices a hypergraph, may have: every
+# later step builds n-length tuples, and `check` on a two-edge chain takes
+# 0.7 s and 37 MB at n = 10^5, 4.8 s and 217 MB at n = 10^6.  `check` on
+# (x1) takes 0.6 s at n = 10^5, and took 4.9 s and 396 MB at n = 8.0e6.
+MAX_VERTICES = 10**5
 
 # Most degree-t monomials a truncation may list: C(t+n-1, n-1) bounds
 # their number, and truncate refuses before enumerating above it.
@@ -41,22 +48,36 @@ MAX_INTERSECTION_ENTRIES = 4 * 10**6
 # a 2-vCPU x86-64 VM (Python 3.11): 1.03 s at 1.7e8 (the d = 2 chain,
 # n = 16, s = 8), 2.1 s at 1.3e9 and 7.9 s at 3.9e9 (the d = 1 chain,
 # s = 10, n = 1000 and 3000), 11.3 s at 2.2e9 (d = 2, n = 20, s = 10).
+# _minimize refuses above it before its first test.  There random 0/1
+# rows in 1,000 variables took 0.22 s at 4.0e8 and 0.80 s at 2.0e9; rows
+# whose every test scans all n coordinates, 7.3 s at 2.5e8.  7,990 random
+# rows, a 16 MB file, took 38 s; `check` now refuses them in 2.0 s.
 MAX_FOLD_COMPARISONS = 4 * 10**8
 
 
-def _minimize(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Minimal exponent tuples among ``exps``, in canonical order.
+def _minimize(exps: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Minimal exponent tuples, of length n, among ``exps``, in canonical
+    order.
 
     Monomials of equal degree only divide each other when equal, so after
     deduplication a candidate needs checking only against kept tuples of
     strictly smaller degree.  The unit tuple, if present, absorbs
-    everything else.
+    everything else.  Raises ``GuardError`` before the first test when
+    those candidates, counted per candidate, times n exceed
+    ``MAX_FOLD_COMPARISONS``.
     """
+    ordered = canonical_sorted(exps)
+    degrees = list(map(sum, ordered))
+    tests = sum(bisect_left(degrees, d) for d in degrees)
+    if tests * n > MAX_FOLD_COMPARISONS:
+        raise GuardError(
+            f"minimizing {len(ordered)} distinct rows: {tests:.2g} divisibility tests "
+            f"of {n} coordinates exceed the desk-scale limit {MAX_FOLD_COMPARISONS} comparisons"
+        )
     kept: list[tuple[int, ...]] = []
     smaller: tuple[tuple[int, ...], ...] = ()  # kept tuples of degree < current
     current_degree = None
-    for e in canonical_sorted(exps):
-        d = sum(e)
+    for e, d in zip(ordered, degrees):
         if d != current_degree:
             smaller = tuple(kept)
             current_degree = d
@@ -136,9 +157,10 @@ class MonomialIdeal:
     """A proper nonzero monomial ideal in n variables, built from exponent
     vectors of length n and stored minimized and sorted.
 
-    The constructor refuses the zero ideal (no generators) and the unit
-    ideal (a generator 1, also when it absorbs others), so every ideal
-    has a generator and none of them is 1.  Truncation, duality and
+    The constructor refuses n above ``MAX_VERTICES`` (``GuardError``)
+    before reading a row.  It refuses the zero ideal (no generators) and
+    the unit ideal (a generator 1, also when it absorbs others), so every
+    ideal has a generator and none of them is 1.  Truncation, duality and
     relabelling build only such ideals from such ideals, and nothing
     downstream checks for the two cases again.
     """
@@ -148,7 +170,9 @@ class MonomialIdeal:
     def __init__(self, n: int, gens: Iterable[Sequence[int]]):
         if type(n) is not int or n < 1:
             raise ValueError(f"ambient dimension must be a positive integer, got {n!r}")
-        minimal = _minimize(exponent_vector(g, n) for g in gens)
+        if n > MAX_VERTICES:
+            raise GuardError(f"n={n} variables exceed the desk-scale limit {MAX_VERTICES}")
+        minimal = _minimize((exponent_vector(g, n) for g in gens), n)
         if not minimal or not any(minimal[0]):
             kind = "unit" if minimal else "zero"
             raise ValueError(f"the {kind} ideal is refused: an ideal must be proper and nonzero")

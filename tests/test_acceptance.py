@@ -73,8 +73,9 @@ def test_criterion_1_running_example_exact():
             (1, 1, 1, 1),
         }
 
-        dual, comps = special_dual(h)
-        assert list(comps) == [
+        sd = special_dual(h)
+        dual = sd.dual
+        assert list(sd.comps) == [
             (1, 1, 0, 0),
             (2, 2, 1, 0),
             (3, 3, 2, 1),
@@ -211,11 +212,11 @@ def test_criterion_6_cross_validation():
     def body():
         for h in _chain_family(50, 714025):
             a = containment_vector(h)
-            assert alexander_dual(special_dual(h)[0], a) == inclusion_ideal(h)
+            assert alexander_dual(special_dual(h).dual, a) == inclusion_ideal(h)
 
             canonical, _ = canonical_vertex_order(h)
             restricted = covered_restriction(canonical)
-            dual_r, _ = special_dual(restricted)
+            dual_r = special_dual(restricted).dual
             rational = betti_table(dual_r, 0)
             mod_two = betti_table(dual_r, 2)
             assert rational.entries == mod_two.entries

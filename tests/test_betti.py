@@ -21,7 +21,6 @@ from hyperideal.hypergraphs import (
     build_hypergraph,
     containment_vector,
     random_instance,
-    restricted_dual,
     special_dual,
 )
 from hyperideal.ideals import MonomialIdeal
@@ -80,7 +79,7 @@ def nerve_side_ideals():
 def chain_dual(d, s, extra, seed):
     """The restricted dual of a random chain with s edges, as check ranks it."""
     h = random_instance(2 + (s - 1) * d + extra, d, s, seed)
-    return restricted_dual(h, *special_dual(h))[1]
+    return special_dual(h).dual_r
 
 
 def pure_power_truncation(a):
@@ -311,7 +310,7 @@ def restricted_chain_dual(e1, d, s):
     each later edge adding d vertices, s edges in all."""
     n = e1 + (s - 1) * d
     h = build_hypergraph(n, d, [range(1, e1 + i * d + 1) for i in range(s)])
-    return restricted_dual(h, *special_dual(h))[1]
+    return special_dual(h).dual_r
 
 
 def maximal_ideal_power(n, t):
@@ -635,7 +634,7 @@ def test_special_dual_regularity_on_the_grid(e1, d, s):
     # and every nonzero multigraded Betti number is 1.
     n = e1 + (s - 1) * d
     h = build_hypergraph(n, d, [range(1, e1 + i * d + 1) for i in range(s)])
-    _, dual_r, _ = restricted_dual(h, *special_dual(h))
+    dual_r = special_dual(h).dual_r
     assert len(dual_r.gens) == e1 * (d + 1) ** (s - 1)
     t = t_bound(containment_vector(h))
     for char in (0, 2):

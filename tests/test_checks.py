@@ -4,15 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperideal import checks
 from hyperideal.checks import (
     BENCH_COLUMNS,
     bench_row,
     run_hypergraph_checks,
     run_ideal_checks,
 )
-from hyperideal.hypergraphs import build_hypergraph, random_instance, restricted_dual, special_dual
-from hyperideal.ideals import MonomialIdeal
-from hyperideal.stability import _check_pure_power_hypothesis
+from hyperideal.hypergraphs import (
+    build_hypergraph,
+    canonical_vertex_order,
+    covered_restriction,
+    random_instance,
+    special_dual,
+)
+from hyperideal.ideals import MonomialIdeal, irredundant_filter
+from hyperideal.stability import _check_pure_power_hypothesis, pure_power_truncation_stable
 
 
 def chain3():
@@ -131,11 +138,53 @@ def random_chains(draw):
 @given(random_chains())
 @settings(max_examples=100)
 def test_restricted_dual_components_meet_the_pure_power_hypothesis(h):
-    # run_hypergraph_checks hands every component to
+    # run_hypergraph_checks hands every component's powers, descending, to
     # pure_power_truncation_stable without catching its hypothesis check:
-    # component i lists the powers i, i-1, ..., 1 on |E_i| >= i+1 vertices.
-    _, _, comps = restricted_dual(h, *special_dual(h))
-    for i, comp in enumerate(comps, start=1):
-        exps = tuple(p for p in comp if p)
+    # component i carries the powers i, i-1, ..., 1 on |E_i| >= i+1 vertices.
+    for i, comp in enumerate(special_dual(h).comps, start=1):
+        exps = tuple(sorted(filter(None, comp), reverse=True))
         assert _check_pure_power_hypothesis(exps) == exps
         assert exps[0] == i and exps[-1] == 1 and len(exps) >= i + 1
+
+
+@st.composite
+def shuffled_chains(draw):
+    """Chains with |E_1| = 2..3, d = 1..2 and s = 1..3 on shuffled labels,
+    with up to two edge-free vertices."""
+    e1 = draw(st.integers(min_value=2, max_value=3))
+    d = draw(st.integers(min_value=1, max_value=2))
+    s = draw(st.integers(min_value=1, max_value=3))
+    n = e1 + (s - 1) * d + draw(st.integers(min_value=0, max_value=2))
+    labels = draw(st.permutations(range(1, n + 1)))
+    return build_hypergraph(n, d, [labels[: e1 + k * d] for k in range(s)])
+
+
+def supports(comps, label=lambda i: i):
+    return {frozenset(label(i) for i, p in enumerate(v, 1) if p) for v in irredundant_filter(comps)}
+
+
+@given(shuffled_chains())
+@settings(max_examples=40)
+def test_input_label_claims_match_the_relabelled_reference(h):
+    # The reference relabels the chain to canonical order and restricts it
+    # to its covered vertices; there a component's nonzero entries, in
+    # order, are the powers the component claim tests, and the primes are
+    # the supports of the irredundant components.
+    canonical, perm = canonical_vertex_order(h)
+    restricted = covered_restriction(canonical)
+    reference = special_dual(restricted).comps
+    tested = []
+
+    def spy(exps):
+        tested.append(exps)
+        return pure_power_truncation_stable(exps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "pure_power_truncation_stable", spy)
+        report = run_hypergraph_checks(h, skip_reg=True)
+    assert tested == [tuple(p for p in v if p) for v in reference]
+    assert report.claim("component_truncations_stable").status == "pass"
+    assert supports(special_dual(h).comps, lambda i: perm[i - 1]) == supports(reference)
+    assert supports(reference) == set(restricted.edges)
+    assert report.claim("associated_primes_chain").status == "pass"
+    assert report.values["restricted"] == (restricted.n < h.n)

@@ -136,8 +136,8 @@ def test_betti_and_reg_on_hypergraph_use_restricted_dual(tmp_path, capsys):
     padded.write_text('{"n": 5, "d": 1, "edges": [[2, 4], [2, 3, 4]]}')
     h = load_path(str(padded))
     canonical, _ = canonical_vertex_order(h)
-    table = betti_table(special_dual(covered_restriction(canonical))[0])
-    assert table.render() != betti_table(special_dual(h)[0]).render()
+    table = betti_table(special_dual(covered_restriction(canonical)).dual)
+    assert table.render() != betti_table(special_dual(h).dual).render()
     code, out, _ = run(capsys, ["betti", str(padded)])
     assert code == 0
     assert out == table.render() + "\n"
@@ -161,6 +161,27 @@ def test_special_dual_computed_once_per_hypergraph(tmp_path, capsys, monkeypatch
     code, _, _ = run(capsys, [command, str(padded)])
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "dual", "betti", "reg"])
+def test_containment_vector_and_inclusion_ideal_built_once(tmp_path, capsys, monkeypatch, command):
+    # special_dual builds both and every command reads them off its record.
+    padded = tmp_path / "padded.json"
+    padded.write_text('{"n": 5, "d": 1, "edges": [[2, 4], [2, 3, 4]]}')
+    calls = []
+    for name in ("containment_vector", "inclusion_ideal"):
+        original = getattr(hypergraphs, name)
+
+        def counted(h, name=name, original=original):
+            calls.append(name)
+            return original(h)
+
+        for module in (hypergraphs, checks, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, [command, str(padded)])
+    assert code == 0
+    assert sorted(calls) == ["containment_vector", "inclusion_ideal"]
 
 
 def test_reg_command(in_repo_root, capsys):
@@ -580,11 +601,42 @@ def test_special_dual_count_refuses_every_command(tmp_path, capsys, command):
 def test_vertex_guard_covers_hypergraph_files(tmp_path, capsys, monkeypatch):
     instance = tmp_path / "chain.json"
     instance.write_text('{"n": 6, "d": 1, "edges": [[1, 2], [1, 2, 3]]}')
-    monkeypatch.setattr(hypergraphs, "MAX_VERTICES", 5)
+    monkeypatch.setattr(ideals, "MAX_VERTICES", 5)
     for command in (["check"], ["dual"], ["reg"]):
         code, out, err = run(capsys, [*command, str(instance)])
         assert (code, out) == (3, "")
         assert err == "guard: n=6 vertices exceed the desk-scale limit 5\n"
+
+
+@pytest.mark.parametrize("command", ["check", "betti", "reg"])
+def test_vertex_guard_covers_ideal_files(tmp_path, capsys, command):
+    # One generator in 100,001 variables: refused before its row is read.
+    instance = tmp_path / "wide.json"
+    instance.write_text(json.dumps({"n": 100001, "gens": [[1] + [0] * 100000]}))
+    code, out, err = run(capsys, [command, str(instance)])
+    assert (code, out) == (3, "")
+    assert err == "guard: n=100001 variables exceed the desk-scale limit 100000\n"
+
+
+def test_minimize_guard_covers_ideal_files(tmp_path, capsys, monkeypatch):
+    # 1,000 random 0/1 rows in 1,000 variables: about 4.9e5 tests of a row
+    # against rows of lower degree, 1,000 coordinates each, refused before
+    # the first test.
+    rng = random.Random(1)
+    gens = [[rng.randint(0, 1) for _ in range(1000)] for _ in range(1000)]
+    instance = tmp_path / "rows.json"
+    instance.write_text(json.dumps({"n": 1000, "gens": gens}, separators=(",", ":")))
+
+    def refuse(*args):
+        raise AssertionError("tested divisibility before the estimate")
+
+    monkeypatch.setattr(ideals, "divides_any", refuse)
+    code, out, err = run(capsys, ["check", str(instance)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "guard: minimizing 1000 distinct rows: 4.9e+05 divisibility tests of 1000 "
+        "coordinates exceed the desk-scale limit 400000000 comparisons\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,7 @@ def test_every_exported_name_resolves():
         (Monomial, "is_unit"),
         (Monomial, "n"),
         (Monomial, "__post_init__"),
+        (hypergraphs, "restricted_dual"),
     ],
 )
 def test_removed_names_stay_gone(owner, name):

@@ -13,10 +13,9 @@ from hyperideal.hypergraphs import (
     covered_restriction,
     inclusion_ideal,
     random_instance,
-    restricted_dual,
     special_dual,
 )
-from hyperideal.ideals import MonomialIdeal, alexander_dual
+from hyperideal.ideals import MonomialIdeal, _dual_powers, alexander_dual
 from hyperideal.monomials import divides_any
 from test_ideals import assert_proper_nonzero, derived_ideals
 
@@ -68,7 +67,9 @@ def test_inclusion_ideal_chain():
 
 
 def test_special_dual_chain():
-    dual, comps = special_dual(chain4())
+    sd = special_dual(chain4())
+    assert sd.a == (3, 3, 2, 1)
+    assert sd.ideal == inclusion_ideal(chain4())
     expected = MonomialIdeal(
         4,
         [
@@ -82,8 +83,8 @@ def test_special_dual_chain():
             (0, 1, 1, 1),
         ],
     )
-    assert dual == expected
-    assert list(comps) == [
+    assert sd.dual == sd.dual_r == expected
+    assert list(sd.comps) == [
         (1, 1, 0, 0),
         (2, 2, 1, 0),
         (3, 3, 2, 1),
@@ -93,8 +94,7 @@ def test_special_dual_chain():
 def test_dual_involution_on_chain():
     h = chain4()
     a = containment_vector(h)
-    dual, _ = special_dual(h)
-    assert alexander_dual(dual, a) == inclusion_ideal(h)
+    assert alexander_dual(special_dual(h).dual, a) == inclusion_ideal(h)
 
 
 @st.composite
@@ -111,24 +111,24 @@ def chains_with_free_vertices(draw):
 @settings(max_examples=80)
 def test_special_dual_is_the_alexander_dual_of_the_inclusion_ideal(h):
     # The same components folded in edge order and in generator order.
-    dual, _ = special_dual(h)
-    assert dual == alexander_dual(inclusion_ideal(h), containment_vector(h))
+    assert special_dual(h).dual == alexander_dual(inclusion_ideal(h), containment_vector(h))
 
 
 @given(chains_with_free_vertices())
 @settings(max_examples=80)
 def test_restricted_components_follow_the_block_formula(h):
     # With blocks B_1 = E_1 and B_k = E_k \ E_(k-1), component i carries
-    # the power i-k+1 on B_k for every k <= i and 0 on the later blocks.
-    restricted, _, comps = restricted_dual(h, *special_dual(h))
+    # the power i-k+1 on B_k for every k <= i and 0 on the later blocks
+    # and the edge-free vertices, on the input labels.
+    comps = special_dual(h).comps
     block_of = {}
-    for k, edge in enumerate(restricted.edges, start=1):
+    for k, edge in enumerate(h.edges, start=1):
         for v in edge:
             block_of.setdefault(v, k)
-    assert len(comps) == restricted.s
+    assert len(comps) == h.s
     for i, comp in enumerate(comps, start=1):
         expected = tuple(
-            i - block_of[v] + 1 if block_of[v] <= i else 0 for v in range(1, restricted.n + 1)
+            i - block_of[v] + 1 if block_of.get(v, i + 1) <= i else 0 for v in range(1, h.n + 1)
         )
         assert comp == expected
 
@@ -139,8 +139,8 @@ def test_chain_pipeline_derives_only_proper_nonzero_ideals(params):
     # The chains keep up to five edge-free vertices, which the restricted
     # dual drops.
     h = random_instance(*params)
-    dual, comps = special_dual(h)
-    for ideal in (inclusion_ideal(h), dual, restricted_dual(h, dual, comps)[1]):
+    sd = special_dual(h)
+    for ideal in (sd.ideal, sd.dual, sd.dual_r):
         for derived in [ideal, *derived_ideals(ideal)]:
             assert_proper_nonzero(derived)
 
@@ -234,10 +234,10 @@ def test_vertex_guard(monkeypatch):
     # At the limit both builders answer, one vertex above it both refuse;
     # the guard changes no draw below it.
     drawn = random_instance(6, 1, 3, seed=11)
-    monkeypatch.setattr(hypergraphs, "MAX_VERTICES", 6)
+    monkeypatch.setattr(ideals, "MAX_VERTICES", 6)
     assert random_instance(6, 1, 3, seed=11) == drawn
     assert build_hypergraph(6, 1, drawn.edges) == drawn
-    monkeypatch.setattr(hypergraphs, "MAX_VERTICES", 5)
+    monkeypatch.setattr(ideals, "MAX_VERTICES", 5)
     message = "^n=6 vertices exceed the desk-scale limit 5$"
     with pytest.raises(GuardError, match=message):
         random_instance(6, 1, 3, seed=11)
@@ -288,8 +288,17 @@ def relabelled_chains(draw):
 @given(relabelled_chains())
 @settings(max_examples=60, deadline=None)
 def test_special_dual_has_the_counted_generators(h):
-    dual, _ = special_dual(h)
-    assert len(dual.gens) == len(h.edges[0]) * (h.d + 1) ** (h.s - 1)
+    assert len(special_dual(h).dual.gens) == len(h.edges[0]) * (h.d + 1) ** (h.s - 1)
+
+
+@given(st.one_of(chains_with_free_vertices(), relabelled_chains()))
+@settings(max_examples=80, deadline=None)
+def test_components_from_edges_match_the_generator_route(h):
+    # The components as first computed: one per generator of the inclusion
+    # ideal, complemented inside a, then sorted by support size.
+    sd = special_dual(h)
+    by_generator = _dual_powers(inclusion_ideal(h), containment_vector(h))
+    assert list(sd.comps) == sorted(by_generator, key=lambda v: len(v) - v.count(0))
 
 
 def test_special_dual_guard_counts_before_the_fold(monkeypatch):
@@ -298,7 +307,7 @@ def test_special_dual_guard_counts_before_the_fold(monkeypatch):
     # is refused before the inclusion ideal is built.
     h = build_hypergraph(7, 2, [[1, 2, 3], [1, 2, 3, 4, 5], range(1, 8)])
     monkeypatch.setattr(ideals, "MAX_INTERSECTION_ENTRIES", 189)
-    assert len(special_dual(h)[0].gens) == 27
+    assert len(special_dual(h).dual.gens) == 27
     monkeypatch.setattr(ideals, "MAX_INTERSECTION_ENTRIES", 188)
 
     def refuse(*args):
@@ -335,38 +344,36 @@ def test_restricted_dual_matches_stepwise_analysis():
             h = random_instance(n, d, s, seed=seed)
             canonical, _ = canonical_vertex_order(h)
             restricted = covered_restriction(canonical)
-            dual, comps = special_dual(restricted)
-            assert restricted_dual(h, *special_dual(h)) == (restricted, dual, comps)
+            assert special_dual(h).dual_r == special_dual(restricted).dual
             restricted_seen += restricted.n < h.n
     assert restricted_seen == 20
 
 
 def test_restricted_dual_drops_edge_free_vertices():
     h = build_hypergraph(5, 1, [frozenset({2, 4}), frozenset({2, 3, 4})])
-    restricted, dual, comps = restricted_dual(h, *special_dual(h))
-    assert restricted.n == dual.n == 3
-    assert restricted.edges == (frozenset({1, 2}), frozenset({1, 2, 3}))
-    assert [len(c) for c in comps] == [3, 3]
+    sd = special_dual(h)
+    assert sd.dual.n == 5 and sd.dual_r.n == 3
+    assert sd.dual_r == special_dual(build_hypergraph(3, 1, [{1, 2}, {1, 2, 3}])).dual
+    assert sd.comps == ((0, 1, 0, 1, 0), (0, 2, 1, 2, 0))
 
 
 def test_restricted_dual_orders_vertices_once(monkeypatch):
     h = build_hypergraph(5, 1, [frozenset({2, 4}), frozenset({2, 3, 4})])
-    dual, comps = special_dual(h)
     calls = []
+    order = hypergraphs._canonical_order
 
     def counted(g):
         calls.append(g)
-        return canonical_vertex_order(g)
+        return order(g)
 
-    monkeypatch.setattr(hypergraphs, "canonical_vertex_order", counted)
-    restricted, _, _ = restricted_dual(h, dual, comps)
+    monkeypatch.setattr(hypergraphs, "_canonical_order", counted)
+    assert special_dual(h).dual_r.n == 3
     assert calls == [h]
-    assert restricted.n == 3
 
 
 def test_restricted_dual_does_not_revalidate(monkeypatch):
     h = build_hypergraph(5, 1, [frozenset({2, 4}), frozenset({2, 3, 4})])
-    expected = restricted_dual(h, *special_dual(h))
+    expected = special_dual(h)
     calls = []
 
     def counted(*args):
@@ -374,5 +381,5 @@ def test_restricted_dual_does_not_revalidate(monkeypatch):
         return build_hypergraph(*args)
 
     monkeypatch.setattr(hypergraphs, "build_hypergraph", counted)
-    assert restricted_dual(h, *special_dual(h)) == expected
+    assert special_dual(h) == expected
     assert calls == []

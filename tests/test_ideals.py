@@ -1,6 +1,6 @@
 from functools import reduce
 from math import comb
-from operator import add
+from operator import add, le
 
 import pytest
 from hypothesis import assume, given, settings
@@ -62,7 +62,7 @@ def reference_intersect(components):
     cands = [(0,) * n]
     for v in components:
         supp = [i for i, p in enumerate(v) if p >= 1]
-        gens, cands = _minimize(cands), []
+        gens, cands = _minimize(cands, n), []
         for g in gens:
             if any(g[i] >= v[i] for i in supp):
                 cands.append(g)
@@ -572,8 +572,9 @@ def test_fold_scan_guard(monkeypatch):
     # comparisons.  The disjoint quadrics have no carriers, so only the
     # size guard can stop them.
     comps = [(1, 1, 0, 0), (2, 2, 1, 0), (3, 3, 2, 1)]
+    expected = reference_intersect(comps)  # its _minimize meets the same limit
     monkeypatch.setattr(ideals, "MAX_FOLD_COMPARISONS", 96)
-    assert fold(comps) == reference_intersect(comps)
+    assert fold(comps) == expected
     assert len(fold(_dual_powers(disjoint_quadrics(8), (1,) * 16)).gens) == 2**8
     monkeypatch.setattr(ideals, "MAX_FOLD_COMPARISONS", 95)
     with pytest.raises(GuardError) as exc:
@@ -581,6 +582,68 @@ def test_fold_scan_guard(monkeypatch):
     assert str(exc.value) == (
         "intersection of 3 irreducible components: 24 carrier scans of 4 coordinates "
         "at component 3 exceed the desk-scale limit 95 comparisons"
+    )
+
+
+def test_vertex_guard_refuses_before_any_row(monkeypatch):
+    # At the limit an ideal is built; one variable above it is refused
+    # before the first row is read.
+    assert MonomialIdeal(10**5, [(1,) + (0,) * (10**5 - 1)]).n == 10**5
+    with pytest.raises(GuardError, match="^n=100001 variables exceed the desk-scale limit 100000$"):
+        MonomialIdeal(10**5 + 1, [])
+    monkeypatch.setattr(ideals, "MAX_VERTICES", 3)
+    assert MonomialIdeal(3, [(1, 0, 1)]).n == 3
+    monkeypatch.setattr(ideals, "MAX_VERTICES", 2)
+
+    def rows():
+        raise AssertionError("read a row before the vertex guard")
+        yield
+
+    with pytest.raises(GuardError, match="^n=3 variables exceed the desk-scale limit 2$"):
+        MonomialIdeal(3, rows())
+
+
+def test_minimize_guard(monkeypatch):
+    # Five distinct rows of degrees 1, 1, 2, 2, 3 (the repeated row counts
+    # once) test 0 + 0 + 2 + 2 + 4 = 8 candidates of lower degree, each a
+    # scan of 3 coordinates: 24 comparisons.  At 23 the rows are refused
+    # before the first divisibility test.
+    rows = [(1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 0, 1), (1, 1, 1)]
+    monkeypatch.setattr(ideals, "MAX_FOLD_COMPARISONS", 24)
+    assert MonomialIdeal(3, rows) == MonomialIdeal(3, rows[:2])
+    monkeypatch.setattr(ideals, "MAX_FOLD_COMPARISONS", 23)
+
+    def refuse(*args):
+        raise AssertionError("tested divisibility before the estimate")
+
+    monkeypatch.setattr(ideals, "divides_any", refuse)
+    with pytest.raises(GuardError) as exc:
+        MonomialIdeal(3, rows)
+    assert str(exc.value) == (
+        "minimizing 5 distinct rows: 8 divisibility tests of 3 coordinates "
+        "exceed the desk-scale limit 23 comparisons"
+    )
+
+
+@given(st.lists(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3), min_size=1, max_size=12))
+def test_minimize_estimate_bounds_its_tests(rows):
+    tests = []
+
+    def counted(gens, u):
+        gens = tuple(gens)
+        tests.append(len(gens))
+        return divides_any(gens, u)
+
+    ordered = canonical_sorted(rows)
+    degrees = [sum(r) for r in ordered]
+    estimate = sum(sum(e < d for e in degrees) for d in degrees)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "divides_any", counted)
+        kept = _minimize(rows, 3)
+    assert sum(tests) <= estimate
+    distinct = set(rows)
+    assert kept == canonical_sorted(
+        r for r in distinct if not any(o != r and all(map(le, o, r)) for o in distinct)
     )
 
 
