@@ -25,7 +25,7 @@ from .checks import (
     run_hypergraph_checks,
     run_ideal_checks,
 )
-from .formats import InputError, dump_input, load_path
+from .formats import InputError, dump_input, dump_json, load_path
 from .homology import GuardError, validate_characteristic
 from .hypergraphs import IncreasingHypergraph, random_instance, special_dual
 from .ideals import component_str
@@ -49,7 +49,10 @@ MAX_BENCH_INSTANCES = 10**4
 
 def _check_out(out: str) -> None:
     """Refuse an --out target before any work, creating or truncating
-    nothing: _emit writes it only once the output is complete."""
+    nothing: _emit writes it only once the output is complete.  The empty
+    path names no file, though its folder would be the writable "."."""
+    if not out:
+        raise InputError('cannot write --out "": the empty path names no file')
     folder = os.path.dirname(out) or "."
     target = out if os.path.exists(out) else folder
     if os.path.isdir(out) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
@@ -120,7 +123,7 @@ def cmd_check(args) -> int:
             obj, char=args.char, skip_reg=args.skip_reg, source=args.input
         )
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+        _emit(dump_json(report.to_json_dict()) + "\n", args.out)
     else:
         _emit(report.to_text() + "\n", args.out)
     return report.exit_status()

@@ -6,11 +6,13 @@ with both is refused.  Vertex labels are 1-based, generator rows are
 exponent vectors of length n.
 The parser checks only the JSON shape; ``build_hypergraph`` and
 ``MonomialIdeal`` check the values, and every error names its source.
+Every indented document the package writes goes through ``dump_json``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import Union
 
 from .homology import GuardError
@@ -90,4 +92,51 @@ def dump_input(obj: InputObject) -> str:
         data = {"n": obj.n, "d": obj.d, "edges": [sorted(e) for e in obj.edges]}
     else:
         data = {"n": obj.n, "gens": [list(g) for g in obj._exps]}
-    return json.dumps(data, indent=2) + "\n"
+    return dump_json(data) + "\n"
+
+
+def dump_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str
+    keys, lists, str, int, bool and None; anything else raises TypeError.
+
+    With an indent json.dumps leaves its C encoder for a pure-Python one;
+    here every string goes through the C string encoder, and a list of
+    ints is joined in one step.
+    """
+    return _dump(obj, "\n")
+
+
+def _dump(obj, newline: str) -> str:
+    """``obj`` as json.dumps writes it at the indent that ``newline``, a
+    line break and its indent, ends with."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        # Most values are strings.  The string encoder raises TypeError on
+        # a key that is no str.
+        items = [
+            _string(k) + ": " + (_string(v) if type(v) is str else _dump(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_dump(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -85,27 +85,31 @@ def _rank(rows: Sequence[Sequence[int]], p: int) -> int:
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for dense in rows:
         row = {c: v for c, v in enumerate(dense) if v}
-        while True:
+        while row:
             if p:
                 row = {c: r for c, v in row.items() if (r := v % p)}
+                if not row:
+                    break
             else:
-                row = {c: v for c, v in row.items() if v}
                 g = gcd(*row.values())
                 if g > 1:
                     row = {c: v // g for c, v in row.items()}
-            if not row:
-                break
             lead = min(row)
             b = row.pop(lead)
             if lead not in pivots:
                 pivots[lead] = (b, row)
                 break
             # The leading entries cancel, so the pivot rows are kept
-            # without them.
+            # without them.  An entry the step cancels is dropped there,
+            # so a row holds no zero.
             a, top = pivots[lead]
-            row = {c: a * v for c, v in row.items()}
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, v in top.items():
-                row[c] = row.get(c, 0) - b * v
+                if (w := row.get(c, 0) - b * v):
+                    row[c] = w
+                else:
+                    del row[c]
     return len(pivots)
 
 
@@ -218,9 +222,13 @@ class SimplicialComplex:
         by_dim = _by_dim(_closure([(), *generators]))
         top = max(by_dim)
         counts = {k: len(by_dim.get(k, [])) for k in range(-1, top + 1)}
-        ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(0, top + 1)}
-        ranks[-1] = 0
+        ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(1, top + 1)}
         ranks[top + 1] = 0
+        # The boundary of degree 0 sends every vertex to the empty face: its
+        # rank is 1 over every field once a vertex is listed, and 0 for
+        # the irrelevant complex, so it needs no matrix.
+        ranks[0] = int(0 in by_dim)
+        ranks[-1] = 0
         dims = [counts[k] - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)]
         memo[key] = result = tuple(dims[:width]) + (0,) * (width - len(dims))
         return result
@@ -258,10 +266,14 @@ def _boundary_matrix(by_dim: dict[int, list[tuple[int, ...]]], k: int) -> list[l
     cols_faces = by_dim.get(k, [])
     index = {f: i for i, f in enumerate(rows_faces)}
     matrix = [[0] * len(cols_faces) for _ in rows_faces]
+    # combinations() drops the positions k, k - 1, ..., 0 of a k-face in
+    # turn, and dropping position pos carries the sign (-1)^pos.
+    first = -1 if k % 2 else 1
     for j, face in enumerate(cols_faces):
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1 :]
-            matrix[index[sub]][j] = (-1) ** pos
+        sign = first
+        for sub in combinations(face, k):
+            matrix[index[sub]][j] = sign
+            sign = -sign
     return matrix
 
 

@@ -81,6 +81,30 @@ def test_check_json_golden(in_repo_root, capsys):
     assert data["values"]["reg"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["check", MIXED, "--format", "json"], "check_mixed_ideal_n3.json"),
+        (["check", H0, "--format", "json"], "check_chain_n4_s3.json"),
+        (["gen", "--n", "7", "--s", "3", "--d", "2", "--seed", "1"], "gen_n7_s3_d2_seed1.json"),
+    ],
+)
+def test_json_goldens(in_repo_root, capsys, argv, golden):
+    # Bare-ideal reports (stable, witness, gens), chain reports with a list
+    # of ints, and generated inputs: no digest covers the bytes of the last.
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (in_repo_root / "fixtures/golden" / golden).read_text()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_skipped_regularity_is_a_json_null(in_repo_root, capsys):
+    code, out, _ = run(capsys, ["check", H1, "--skip-reg", "--format", "json"])
+    assert code == 3
+    assert out == (in_repo_root / "fixtures/golden/check_chain_n3_s2_skip_reg.json").read_text()
+    assert json.loads(out)["values"]["reg"] is None
+
+
 def test_check_ideal_input_has_na_claims(in_repo_root, capsys):
     code, out, _ = run(capsys, ["check", MIXED])
     assert code == 0
@@ -782,6 +806,30 @@ def test_unwritable_out_is_an_input_error(in_repo_root, tmp_path, capsys, monkey
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", H0],
+        ["check", H1],
+        ["betti", MIXED],
+        ["reg", MIXED],
+        ["bench", "--count", "1"],
+        ["gen", "--n", "6", "--s", "3"],
+    ],
+)
+def test_empty_out_is_refused_before_any_work(in_repo_root, capsys, monkeypatch, argv):
+    # The empty path's folder falls back to the writable ".", so it must
+    # be refused on its own, before any input is read or instance drawn.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "load_path", refuse)
+    monkeypatch.setattr(cli, "random_instance", refuse)
+    code, out, err = run(capsys, [*argv, "--out", ""])
+    assert (code, out) == (2, "")
+    assert err == 'error: cannot write --out "": the empty path names no file\n'
 
 
 def test_reg_refuses_unwritable_out_before_the_table(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,16 @@
+import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperideal import formats
 from hyperideal.formats import (
     MAX_INPUT_BYTES,
     InputError,
     dump_input,
+    dump_json,
     load_path,
     parse_input,
 )
@@ -118,3 +122,33 @@ def test_dump_hypergraph_sorted_edges():
     h = build_hypergraph(3, 1, [frozenset({2, 1}), frozenset({3, 1, 2})])
     text = dump_input(h)
     assert "[\n      1,\n      2\n    ]" in text
+
+
+# Quotes, backslashes, control characters, non-ASCII and lone surrogates,
+# besides whatever text hypothesis draws from every category.
+json_strings = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\xe9\ud800\udfff')
+)
+json_ints = st.integers() | st.sampled_from([-1, 0, 2**63, 2**64, 2**64 + 1, -(2**70)])
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strings | st.lists(json_ints),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(json_strings, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[]], "d": [{}], "e": [True, 1, None]})
+@example([2**64 + 1, -(2**64), 0])
+@settings(max_examples=150)
+def test_dump_json_matches_indented_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, (1, 2), {"a": [0.0]}, [{"b": (1,)}], {1: "x"}, {None: 1}, {"a": {2}}]
+)
+def test_dump_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        dump_json(value)

@@ -248,6 +248,54 @@ def test_reduced_homology_matches_reference_on_both_sides(closures):
     assert sides == {True, False}
 
 
+@st.composite
+def vertex_only_complexes(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    points = draw(st.sets(st.integers(min_value=1, max_value=n), min_size=1))
+    return SimplicialComplex(range(1, n + 1), [[v] for v in points])
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+    points = draw(st.lists(st.integers(min_value=1, max_value=n), max_size=3))
+    return SimplicialComplex(range(1, n + 1), [*edges, *([v] for v in points)])
+
+
+def test_augmentation_rank_takes_no_matrix(monkeypatch):
+    # The boundary from degree 0 to degree -1 has rank 1 when a vertex is
+    # listed and 0 otherwise; it is the only boundary with one row (the
+    # empty face), since a k-face has k + 1 faces of dimension k - 1.
+    shapes = []
+    original = homology.matrix_rank
+
+    def spy(rows, char=0):
+        shapes.append(len(rows))
+        return original(rows, char)
+
+    monkeypatch.setattr(homology, "matrix_rank", spy)
+    irrelevant = SimplicialComplex([1, 2], [[]])
+
+    @given(st.one_of(vertex_only_complexes(), graphs(), random_complexes()))
+    @example(irrelevant)
+    @example(SimplicialComplex([1, 2, 3], [[1], [2], [3]]))
+    @example(SimplicialComplex([1, 2, 3, 4], [[1, 2], [3, 4]]))
+    @settings(max_examples=150)
+    def check(complex_):
+        for char in (0, 2, 3):
+            expected = reference_reduced_homology(complex_.faces, char)
+            assert complex_.reduced_homology_dims(char) == expected, char
+
+    shapes.clear()
+    check()
+    assert shapes and 1 not in shapes
+    shapes.clear()
+    assert irrelevant.reduced_homology_dims() == (1,)
+    assert shapes == []
+
+
 def test_star_plus_edge_ranks_its_own_faces(closures):
     # Six edges on eight vertices: five meet at vertex 1, plus {7, 8}.
     # Fewer facets than vertices, but the star of vertex 1 holds five
@@ -276,8 +324,17 @@ def test_mod_p_rank_matches_dense_elimination(rows):
 @settings(max_examples=60)
 def test_boundary_ranks_match_references(complex_):
     top = max(len(f) for f in complex_.faces) - 1
+    by_size = {}
+    for f in sorted(tuple(sorted(f)) for f in complex_.faces):
+        by_size.setdefault(len(f), []).append(f)
     for k in range(top + 1):
         d = boundary_matrix(complex_, k)
+        # The face f without position pos has the entry (-1)^pos.
+        signs = [
+            {f[:pos] + f[pos + 1 :]: (-1) ** pos for pos in range(len(f))}
+            for f in by_size.get(k + 1, [])
+        ]
+        assert d == [[col.get(r, 0) for col in signs] for r in by_size.get(k, [])], k
         assert matrix_rank(d, 0) == rank_over_rationals(d), k
         assert matrix_rank(d, 2) == rank_mod_p(d, 2), k
 
