@@ -112,7 +112,6 @@ def koszul_complex(ideal: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComple
 class BettiTable:
     """Sparse table of nonzero multigraded Betti numbers of an ideal."""
 
-    n: int
     char: int
     entries: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
 
@@ -205,7 +204,7 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
         for offset, dim in enumerate(orbit_dims[rep]):
             if dim:
                 entries[(offset, b)] = dim
-    return BettiTable(ideal.n, char, entries)
+    return BettiTable(char, entries)
 
 
 def regularity(ideal: MonomialIdeal, char: int = 0) -> int:
@@ -220,18 +219,20 @@ def _signed_subset_counts(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
 
     Folds one generator at a time: subsets through generator k either
     avoid it (counts unchanged) or are an old subset joined with it (sign
-    flipped, lcm joined) or the singleton.  Equivalent to enumerating all
-    2^g subsets but linear in generators times lattice size.
+    flipped, lcm joined) or the singleton; a count that cancels is dropped.
+    The same sums as all 2^g subsets, in generators times lattice size.
     """
     counts: dict[tuple[int, ...], int] = {}
     for g in ideal._exps:
         updated = dict(counts)
-        updated[g] = updated.get(g, 0) + 1
-        for b, value in counts.items():
+        if value := updated.pop(g, 0) + 1:
+            updated[g] = value
+        for b, old in counts.items():
             joined = tuple(map(max, b, g))
-            updated[joined] = updated.get(joined, 0) - value
+            if value := updated.pop(joined, 0) - old:
+                updated[joined] = value
         counts = updated
-    return {b: v for b, v in counts.items() if v != 0}
+    return counts
 
 
 def euler_consistency_check(

@@ -42,12 +42,10 @@ HYPERGRAPH_CLAIMS = (
 class ClaimResult:
     name: str
     status: str
-    detail: str = ""
+    detail: str
 
     def render(self) -> str:
-        if self.detail:
-            return f"{self.name}: {self.status} ({self.detail})"
-        return f"{self.name}: {self.status}"
+        return f"{self.name}: {self.status} ({self.detail})"
 
 
 @dataclass
@@ -201,7 +199,7 @@ def run_hypergraph_checks(
 
     irredundant = irredundant_filter(sd.comps)
     supports = {frozenset(i for i, p in enumerate(v, 1) if p) for v in irredundant}
-    # build_hypergraph checked that the edges are nested, so equal sets form a chain.
+    # The edges of an IncreasingHypergraph are nested, so equal sets form a chain.
     claims.append(
         _verdict(
             "associated_primes_chain",

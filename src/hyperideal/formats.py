@@ -5,7 +5,7 @@ with "edges" is a hypergraph, one with "gens" is a bare ideal, and one
 with both is refused.  Vertex labels are 1-based, generator rows are
 exponent vectors of length n.
 The parser checks only the JSON shape; ``build_hypergraph`` and
-``MonomialIdeal`` check the values, and every error names its source.
+``MonomialIdeal`` check the values, and the parser names the source.
 Every indented document the package writes goes through ``dump_json``.
 """
 
@@ -41,29 +41,29 @@ _ROWS = {"edges": "vertex lists", "gens": "exponent vectors"}
 
 
 def parse_input(text: str, source: str = "<input>") -> InputObject:
-    """Parse a JSON document and detect its kind by top-level key."""
+    """Parse a JSON document by its top-level key; every refusal names ``source``."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: not valid JSON ({exc})") from exc
-    except RecursionError:
-        raise InputError(f"{source}: not valid JSON (nested too deeply)") from None
-    if not isinstance(data, dict):
-        raise InputError(f"{source}: expected a JSON object at top level")
-    keys = [k for k in _ROWS if k in data]
-    if not keys:
-        raise InputError(f'{source}: need either an "edges" or a "gens" key')
-    if len(keys) > 1:
-        raise InputError(f'{source}: holds both an "edges" and a "gens" key; give one')
-    key = keys[0]
-    rows = data[key]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InputError(f'{source}: "{key}" must be a list of {_ROWS[key]}')
-    try:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise InputError("not valid JSON (nested too deeply)") from None
+        if not isinstance(data, dict):
+            raise InputError("expected a JSON object at top level")
+        keys = [k for k in _ROWS if k in data]
+        if not keys:
+            raise InputError('need either an "edges" or a "gens" key')
+        if len(keys) > 1:
+            raise InputError('holds both an "edges" and a "gens" key; give one')
+        key = keys[0]
+        rows = data[key]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise InputError(f'"{key}" must be a list of {_ROWS[key]}')
         if key == "edges":
             return build_hypergraph(data.get("n"), data.get("d"), rows)
         return MonomialIdeal(data.get("n"), rows)
-    except ValueError as exc:
+    except ValueError as exc:  # a GuardError is no ValueError and passes as raised
         raise InputError(f"{source}: {exc}") from exc
 
 

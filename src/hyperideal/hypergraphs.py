@@ -208,22 +208,22 @@ def covered_restriction(h: IncreasingHypergraph) -> IncreasingHypergraph:
     After canonical reordering the covered vertices are exactly 1..r with
     r the size of the last edge, so restriction just shrinks the ambient.
     """
-    if canonical_vertex_order(h)[1] != tuple(range(1, h.n + 1)):
+    if _canonical_order(h) != list(range(1, h.n + 1)):
         raise ValueError("restriction requires a canonically ordered hypergraph")
     r = len(h.edges[-1])
     if r == h.n:
         return h
-    return build_hypergraph(r, h.d, h.edges)
+    return IncreasingHypergraph(r, h.d, h.edges)
 
 
 def random_instance(n: int, d: int, s: int, seed: int) -> IncreasingHypergraph:
     """Deterministic random nested hypergraph.
 
     Scheme: Mersenne-Twister ``random.Random(seed)``; the first edge is a
-    uniform 2-subset of 1..n and each later edge adds d vertices sampled
-    without replacement from the unused ones.  Requires 2 + (s-1)*d <= n.
-    The edges hold 2s + d*s*(s-1)/2 incidences, refused before the first
-    draw above ``MAX_INCIDENCES`` (``GuardError``).
+    uniform 2-subset of 1..n and each later edge adds d unused vertices,
+    sampled without replacement, so the chain is valid as drawn.  Requires
+    2 + (s-1)*d <= n.  The edges hold 2s + d*s*(s-1)/2 incidences, refused
+    before the first draw above ``MAX_INCIDENCES`` (``GuardError``).
     """
     _check_sizes(n, d, s)
     need = 2 + (s - 1) * d
@@ -244,4 +244,4 @@ def random_instance(n: int, d: int, s: int, seed: int) -> IncreasingHypergraph:
         edges.append(edges[-1] | set(added))
         for v in added:
             del free[bisect_left(free, v)]
-    return build_hypergraph(n, d, edges)
+    return IncreasingHypergraph(n, d, tuple(map(frozenset, edges)))

@@ -869,3 +869,49 @@ def test_missing_input_file(in_repo_root, capsys):
     code, _, err = run(capsys, ["check", "no/such/file.json"])
     assert code == 2
     assert err.startswith("error: no/such/file.json: cannot read ")
+
+
+MALFORMED = {
+    "invalid.json": b"not json",
+    "deep.json": b'{"n": 1, "gens": [' + b"[" * 1200 + b"]" * 1200 + b"]}",
+    "non_object.json": b"[1, 2]",
+    "no_key.json": b'{"n": 2}',
+    "both_keys.json": b'{"n": 3, "gens": [[1, 1, 0]], "edges": [[1, 2]]}',
+    "gens_rows.json": b'{"n": 2, "gens": [3]}',
+    "edges_rows.json": b'{"n": 3, "d": 1, "edges": [[1, 2], 3]}',
+    "negative.json": b'{"n": 2, "gens": [[1, -1]]}',
+    "latin1.json": b'{"n": 1, "gens": [[1]]} \xe9',
+    # Past Python's 4,300-digit limit json.loads raises a plain ValueError.
+    "digits5000.json": b'{"n": 2, "gens": [[' + b"9" * 5000 + b", 0], [0, 1]]}",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_every_malformed_file_is_one_error_line_naming_it(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(MALFORMED[name])
+    code, out, err = run(capsys, ["check", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_gen_and_bench_do_not_revalidate_their_draws(in_repo_root, tmp_path, capsys, monkeypatch):
+    calls = []
+    build = hypergraphs.build_hypergraph
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(hypergraphs, "build_hypergraph", counted)
+    monkeypatch.setattr(formats, "build_hypergraph", counted)
+    instance = tmp_path / "h.json"
+    argv = ["gen", "--n", "7", "--s", "3", "--d", "2", "--seed", "1", "--out", str(instance)]
+    assert run(capsys, argv)[0] == 0
+    argv = ["bench", "--n-range", "4:7", "--s-range", "2:4", "--d-set", "1,2", "--count", "5"]
+    assert run(capsys, argv)[0] == 0
+    assert calls == []
+    # The spy is live: reading the file back validates it once.
+    assert run(capsys, ["check", str(instance)])[0] == 0
+    assert len(calls) == 1

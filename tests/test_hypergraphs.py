@@ -205,6 +205,20 @@ def test_random_instance_matches_the_resorting_reference(n, d, s):
         assert random_instance(n, d, s, seed) == resorting_random_instance(n, d, s, seed)
 
 
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100)
+def test_random_instance_passes_the_outside_validator(d, s, free, seed):
+    # random_instance builds its chain unchecked; the validator agrees.
+    n = 2 + (s - 1) * d + free
+    h = random_instance(n, d, s, seed)
+    assert h == build_hypergraph(n, d, [sorted(e) for e in h.edges])
+
+
 def test_random_instance_infeasible():
     with pytest.raises(ValueError, match="infeasible"):
         random_instance(4, 2, 3, seed=0)
@@ -299,6 +313,14 @@ def test_components_from_edges_match_the_generator_route(h):
     sd = special_dual(h)
     by_generator = _dual_powers(inclusion_ideal(h), containment_vector(h))
     assert list(sd.comps) == sorted(by_generator, key=lambda v: len(v) - v.count(0))
+
+
+@given(relabelled_chains())
+@settings(max_examples=60, deadline=None)
+def test_covered_restriction_matches_the_validated_rebuild(h):
+    canonical, _ = canonical_vertex_order(h)
+    r = len(canonical.edges[-1])
+    assert covered_restriction(canonical) == build_hypergraph(r, canonical.d, canonical.edges)
 
 
 def test_special_dual_guard_counts_before_the_fold(monkeypatch):
