@@ -4,7 +4,8 @@ Two shapes are accepted and told apart by their top-level key: an object
 with "edges" is a hypergraph, one with "gens" is a bare ideal, and one
 with both is refused.  Vertex labels are 1-based, generator rows are
 exponent vectors of length n.
-The parser checks only the JSON shape; ``build_hypergraph`` and
+The parser checks the JSON shape and that an ideal's exponents leave
+room to print what derives from them; ``build_hypergraph`` and
 ``MonomialIdeal`` check the values, and the parser names the source.
 Every indented document the package writes goes through ``dump_json``.
 """
@@ -12,12 +13,13 @@ Every indented document the package writes goes through ``dump_json``.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _string
 from typing import Union
 
 from .homology import GuardError
 from .hypergraphs import IncreasingHypergraph, build_hypergraph
-from .ideals import MonomialIdeal
+from .ideals import MAX_VERTICES, MonomialIdeal
 
 # Most bytes an input file may hold, read before any other check.  The
 # largest file `gen` writes inside its guards, n = 10^5, s = 1412, d = 1,
@@ -29,6 +31,18 @@ from .ideals import MonomialIdeal
 # after 1.3 s.
 MAX_INPUT_BYTES = 16 * 10**6
 _FIRST_READ = 1 << 16
+
+# Digits an exponent must leave free under the interpreter's limit for
+# turning an int into text (sys.get_int_max_str_digits(), 4,300 by
+# default).  Every integer the package prints from an ideal whose largest
+# exponent is e lies below MAX_VERTICES**2 * (e + 1) = 10**10 * (e + 1):
+# a degree or a Betti degree is at most n*e, q = m*(deg - 1) + 1 is below
+# n*n*e, and a stability shift raises one exponent to e + 1.  JSON holds
+# integers up to the limit itself, so without this margin a file could
+# pass the parser and fail only when its result is printed.
+EXPONENT_DIGIT_MARGIN = len(str(MAX_VERTICES**2 - 1))
+# Releases before 3.10.7 have no such limit.
+_int_text_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class InputError(ValueError):
@@ -62,9 +76,26 @@ def parse_input(text: str, source: str = "<input>") -> InputObject:
             raise InputError(f'"{key}" must be a list of {_ROWS[key]}')
         if key == "edges":
             return build_hypergraph(data.get("n"), data.get("d"), rows)
-        return MonomialIdeal(data.get("n"), rows)
+        ideal = MonomialIdeal(data.get("n"), rows)
+        _require_printable(ideal)
+        return ideal
     except ValueError as exc:  # a GuardError is no ValueError and passes as raised
         raise InputError(f"{source}: {exc}") from exc
+
+
+def _require_printable(ideal: MonomialIdeal) -> None:
+    """Refuse an ideal with an exponent of more digits than the
+    int-to-text limit less ``EXPONENT_DIGIT_MARGIN``; a limit of 0 (none)
+    refuses nothing."""
+    limit = _int_text_limit()
+    digits = limit - EXPONENT_DIGIT_MARGIN
+    top = max(map(max, ideal._exps))
+    # 2**(3k) < 10**k: only an exponent past 3k bits needs the power of ten.
+    if limit and top.bit_length() > 3 * digits and top >= 10**digits:
+        raise InputError(
+            f"an exponent has more than {digits} digits; values derived from it "
+            f"would pass the {limit}-digit limit for printing integers"
+        )
 
 
 def load_path(path: str) -> InputObject:

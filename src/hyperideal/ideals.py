@@ -165,7 +165,7 @@ class MonomialIdeal:
     downstream checks for the two cases again.
     """
 
-    __slots__ = ("n", "_exps", "_gens")
+    __slots__ = ("n", "_exps", "_gens", "_cut")
 
     def __init__(self, n: int, gens: Iterable[Sequence[int]]):
         if type(n) is not int or n < 1:
@@ -191,6 +191,7 @@ class MonomialIdeal:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_exps", tuple(minimal))
         object.__setattr__(self, "_gens", None)
+        object.__setattr__(self, "_cut", None)  # (t, truncate(t)), last listed
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
@@ -204,7 +205,7 @@ class MonomialIdeal:
 
     # Always false since the constructor refuses both cases; kept only
     # because perfbench's trace hook for stability shift tests reads them,
-    # and removed with the next benchmark change (ROADMAP item 3B).
+    # and removed with the next benchmark change (ROADMAP item 2 step B).
     @property
     def is_zero(self) -> bool:
         return not self._exps
@@ -244,7 +245,12 @@ class MonomialIdeal:
         when no generator lies below degree t.  Raises ``GuardError``
         before enumerating when C(t+n-1, n-1), the number of degree-t
         monomials, exceeds ``MAX_TRUNCATION``.
+
+        The last truncation listed is kept: a second call with the same t
+        returns the same object without listing the members again.
         """
+        if self._cut is not None and self._cut[0] == t:
+            return self._cut[1]
         degrees = [sum(g) for g in self._exps]
         if min(degrees) >= t:
             return self
@@ -257,7 +263,9 @@ class MonomialIdeal:
             )
         fit = [g for g, d in zip(self._exps, degrees) if d <= t]
         above = [g for g, d in zip(self._exps, degrees) if d > t]
-        return MonomialIdeal._of_minimal(self.n, _degree_members(fit, self.n, t) + above)
+        cut = MonomialIdeal._of_minimal(self.n, _degree_members(fit, self.n, t) + above)
+        object.__setattr__(self, "_cut", (t, cut))
+        return cut
 
     def deg(self) -> int:
         """Highest degree among the minimal generators."""

@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 from hypothesis import settings
@@ -36,3 +37,12 @@ def closures(monkeypatch) -> list:
 
     monkeypatch.setattr(homology, "_closure", spy)
     return seen
+
+
+@pytest.fixture
+def int_text_limit():
+    """``sys.set_int_max_str_digits``, with the interpreter's limit put
+    back after the test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)

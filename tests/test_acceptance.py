@@ -195,9 +195,11 @@ def test_criterion_5_pure_power_truncations():
                 tuple(a[i] if j == i else 0 for j in range(n)) for i in range(n)
             ]
             ideal = MonomialIdeal(n, gens)
-            assert truncation_stability(ideal, t).is_stable
+            report = truncation_stability(ideal, t)
+            assert report.is_stable
 
             cut = ideal.truncate(t)
+            assert report.ideal is cut  # listed once, by the report
             assert all(g.degree() == t for g in cut.gens)
             assert cut.deg() == t
             if len(cut.gens) <= 20:

@@ -896,6 +896,32 @@ def test_every_malformed_file_is_one_error_line_naming_it(tmp_path, capsys, name
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["check", "reg", "betti", "dual"])
+def test_exponent_too_large_to_print_from_is_refused_when_read(tmp_path, capsys, int_text_limit, command):
+    # JSON reads an int of 4,300 digits; every command refuses it while the
+    # file is parsed, before its first step, with one line naming the file.
+    int_text_limit(4300)
+    path = tmp_path / "digits4300.json"
+    path.write_text('{"n": 3, "gens": [[' + "9" * 4300 + ", 1, 0], [0, 1, 1]]}")
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: an exponent has more than 4290 digits; values derived "
+        "from it would pass the 4300-digit limit for printing integers\n"
+    )
+
+
+def test_largest_exponent_let_through_prints(tmp_path, capsys, int_text_limit):
+    int_text_limit(640)
+    path = tmp_path / "digits630.json"
+    path.write_text('{"n": 3, "gens": [[' + "9" * 630 + ", 1, 0], [0, 1, 1]]}")
+    for command in ("check", "reg", "betti"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert (code, err) == (0, "")
+        if command == "check":
+            assert f"\ndeg={10**630} m=3 q={3 * 10**630 - 2}\n" in out
+
+
 def test_gen_and_bench_do_not_revalidate_their_draws(in_repo_root, tmp_path, capsys, monkeypatch):
     calls = []
     build = hypergraphs.build_hypergraph

@@ -76,6 +76,27 @@ def test_parse_errors_carry_source(tmp_path):
         load_path(str(latin))
 
 
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_exponents_whose_values_would_not_print_are_refused(int_text_limit, limit):
+    # Values printed from an exponent e stay below 10**10 * (e + 1), so e
+    # may have at most limit - 10 digits.
+    int_text_limit(limit)
+    digits = limit - formats.EXPONENT_DIGIT_MARGIN
+    top = 10**digits - 1
+    assert parse_input(f'{{"n": 3, "gens": [[{top}, 1, 0], [0, 1, 1]]}}').deg() == top + 1
+    with pytest.raises(
+        InputError,
+        match=f"^f.json: an exponent has more than {digits} digits; values derived "
+        f"from it would pass the {limit}-digit limit for printing integers$",
+    ):
+        parse_input(f'{{"n": 3, "gens": [[{top + 1}, 1, 0], [0, 1, 1]]}}', source="f.json")
+    # Only the minimal generators count: x2 absorbs the large one.
+    assert parse_input(f'{{"n": 2, "gens": [[{top + 1}, 1], [0, 1]]}}').deg() == 1
+    # With no limit, nothing is refused.
+    int_text_limit(0)
+    assert parse_input(f'{{"n": 2, "gens": [[{10**limit}, 0], [0, 1]]}}').n == 2
+
+
 def test_load_path_missing_file():
     with pytest.raises(InputError, match="^/nonexistent/thing.json: cannot read "):
         load_path("/nonexistent/thing.json")

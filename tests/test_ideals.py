@@ -227,6 +227,40 @@ def test_truncate_matches_padding_reference(ideal, data):
         assert cut is ideal
 
 
+@given(any_ideals, st.data())
+@settings(max_examples=150, deadline=None)
+def test_truncate_keeps_only_its_last_listing(ideal, data):
+    # Repeated and interleaved t: each answer equals a fresh ideal's
+    # truncation and the padding reference, and a call returns the stored
+    # object exactly when the last truncation listed was at the same t.
+    drawn = data.draw(st.lists(st.integers(min_value=0, max_value=ideal.deg() + 2), min_size=2, max_size=5))
+    stored = None
+    for t in drawn + drawn[::-1]:
+        cut = ideal.truncate(t)
+        fresh = MonomialIdeal._of_minimal(ideal.n, list(ideal._exps)).truncate(t)
+        assert cut == fresh == reference_truncate(ideal, t)
+        assert cut.gens == fresh.gens
+        if min(map(sum, ideal._exps)) >= t:
+            assert cut is ideal  # nothing listed, nothing stored
+        elif stored is not None and stored[0] == t:
+            assert cut is stored[1]
+        else:
+            stored = (t, cut)
+
+
+def test_truncate_returns_the_stored_listing_past_a_guard():
+    ideal = maximal_ideal(14)
+    cut = ideal.truncate(3)
+    assert ideal.truncate(3) is cut
+    with pytest.raises(GuardError):
+        ideal.truncate(49)
+    assert ideal.truncate(1) is ideal
+    assert ideal.truncate(3) is cut
+    other = ideal.truncate(2)
+    assert other == maximal_ideal(14).truncate(2) and other is not cut
+    assert ideal.truncate(2) is other
+
+
 def reference_degree_members(gens, n, t):
     """The recursive listing ``_degree_members`` used to run: one call per
     coordinate of every member, and the completions of a branch whose kept
