@@ -3,7 +3,7 @@ of truncations, and exact multigraded Betti numbers at desk scale."""
 
 from .betti import BettiTable, betti_table, euler_consistency_check, lcm_lattice, regularity
 from .checks import CheckReport, ClaimResult, run_hypergraph_checks, run_ideal_checks
-from .homology import GuardError, SimplicialComplex, matrix_rank
+from .homology import GuardError
 from .hypergraphs import (
     IncreasingHypergraph,
     build_hypergraph,
@@ -35,7 +35,6 @@ __all__ = [
     "IncreasingHypergraph",
     "Monomial",
     "MonomialIdeal",
-    "SimplicialComplex",
     "StabilityReport",
     "StabilityWitness",
     "alexander_dual",
@@ -50,7 +49,6 @@ __all__ = [
     "is_stable",
     "is_stable_exhaustive",
     "lcm_lattice",
-    "matrix_rank",
     "pure_power_truncation_stable",
     "q_bound",
     "random_instance",

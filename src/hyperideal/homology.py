@@ -1,6 +1,7 @@
 """Reduced simplicial homology over Q or GF(p) with exact arithmetic.
 
-Boundary-matrix ranks come from one sparse row reduction: over a prime
+Each boundary map is given as one sparse row per face, the signed faces
+of its boundary, and ranked by one sparse row reduction: over a prime
 field every entry is reduced mod p, over Q each row is kept integral and
 divided by the gcd of its entries; there is no floating point anywhere.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 MAX_GROUND_VERTICES = 20
 
@@ -73,18 +74,19 @@ def validate_characteristic(char: int) -> None:
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
-def _rank(rows: Sequence[Sequence[int]], p: int) -> int:
+def _rank(rows: Iterable[Mapping[int, int]], p: int) -> int:
     """Rank over GF(p), or over Q when p is 0, by sparse row reduction.
 
-    Each row becomes ``{column: value}`` and is reduced against the pivot
-    rows kept so far, one per leading column, by r <- a*r - b*top with a
-    the pivot's leading entry; the step is invertible because a != 0.
-    Over GF(p) entries are reduced mod p; over Q each row is divided by
-    the gcd of its entries, so rows stay integral and small.
+    Each row, a ``{column: value}`` mapping, is copied without its zero
+    entries and reduced against the pivot rows kept so far, one per
+    leading column, by r <- a*r - b*top with a the pivot's leading entry;
+    the step is invertible because a != 0.  Over GF(p) entries are reduced
+    mod p; over Q each row is divided by the gcd of its entries, so rows
+    stay integral and small.
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
-    for dense in rows:
-        row = {c: v for c, v in enumerate(dense) if v}
+    for entries in rows:
+        row = {c: v for c, v in entries.items() if v}
         while row:
             if p:
                 row = {c: r for c, v in row.items() if (r := v % p)}
@@ -113,8 +115,9 @@ def _rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(pivots)
 
 
-def matrix_rank(rows: Sequence[Sequence[int]], char: int = 0) -> int:
-    """Exact rank of an integer matrix over Q (char 0) or GF(char)."""
+def matrix_rank(rows: Iterable[Mapping[int, int]], char: int = 0) -> int:
+    """Exact rank over Q (char 0) or GF(char) of an integer matrix given
+    as rows of ``{column: value}``; a zero entry is allowed and dropped."""
     validate_characteristic(char)
     return _rank(rows, char)
 
@@ -220,17 +223,18 @@ class SimplicialComplex:
         # The empty face is listed apart: no star holds it when no vertex
         # lies in a facet (the irrelevant complex).
         by_dim = _by_dim(_closure([(), *generators]))
-        top = max(by_dim)
-        counts = {k: len(by_dim.get(k, [])) for k in range(-1, top + 1)}
-        ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(1, top + 1)}
-        ranks[top + 1] = 0
-        # The boundary of degree 0 sends every vertex to the empty face: its
-        # rank is 1 over every field once a vertex is listed, and 0 for
-        # the irrelevant complex, so it needs no matrix.
+        # The degrees returned need the boundaries out of degrees 0 to
+        # width - 1 that have faces.  That of degree 0 sends every vertex to
+        # the empty face: its rank is 1 over every field once a vertex is
+        # listed, and 0 for the irrelevant complex, so it needs no rows.
+        ranks = {
+            k: matrix_rank(_boundary_rows(by_dim, k), char) for k in range(1, width) if k in by_dim
+        }
         ranks[0] = int(0 in by_dim)
-        ranks[-1] = 0
-        dims = [counts[k] - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)]
-        memo[key] = result = tuple(dims[:width]) + (0,) * (width - len(dims))
+        memo[key] = result = tuple(
+            len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+            for k in range(-1, width - 1)
+        )
         return result
 
 
@@ -261,20 +265,15 @@ def _by_dim(faces: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]
     return by_dim
 
 
-def _boundary_matrix(by_dim: dict[int, list[tuple[int, ...]]], k: int) -> list[list[int]]:
-    rows_faces = by_dim.get(k - 1, [])
-    cols_faces = by_dim.get(k, [])
-    index = {f: i for i, f in enumerate(rows_faces)}
-    matrix = [[0] * len(cols_faces) for _ in rows_faces]
+def _boundary_rows(by_dim: dict[int, list[tuple[int, ...]]], k: int) -> list[dict[int, int]]:
+    """The boundary from degree k to k - 1 as one row per k-face, mapping
+    the index of each of its (k - 1)-faces to the sign: the transpose of
+    the boundary matrix, which has the same rank."""
+    index = {f: i for i, f in enumerate(by_dim[k - 1])}
     # combinations() drops the positions k, k - 1, ..., 0 of a k-face in
     # turn, and dropping position pos carries the sign (-1)^pos.
-    first = -1 if k % 2 else 1
-    for j, face in enumerate(cols_faces):
-        sign = first
-        for sub in combinations(face, k):
-            matrix[index[sub]][j] = sign
-            sign = -sign
-    return matrix
+    signs = [(-1) ** pos for pos in range(k, -1, -1)]
+    return [dict(zip(map(index.__getitem__, combinations(face, k)), signs)) for face in by_dim[k]]
 
 
 def simplex_faces(vertices: Iterable[int]) -> list[frozenset[int]]:

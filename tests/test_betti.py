@@ -25,7 +25,7 @@ from hyperideal.hypergraphs import (
 )
 from hyperideal.ideals import MonomialIdeal
 from hyperideal.stability import t_bound
-from test_homology import reference_reduced_homology
+from test_homology import RP2_TRIANGLES, reference_reduced_homology
 
 MIXED = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)])
 
@@ -518,6 +518,22 @@ def test_betti_table_of_mixed_ideal():
 
 def test_betti_char_two_agrees_on_mixed_ideal():
     assert betti_table(MIXED, 2).entries == betti_table(MIXED, 0).entries
+
+
+def test_projective_plane_ideal_depends_on_characteristic():
+    # The Stanley-Reisner ideal of the 6-vertex RP^2: its 15 edges are all
+    # faces, so it is generated by the cubics on the 10 other triples.  At
+    # the top point the Koszul complex is RP^2 itself, whose homology in
+    # degrees 1 and 2 appears in characteristic 2 only.
+    triples = [t for t in combinations(range(1, 7), 3) if t not in RP2_TRIANGLES]
+    ideal = MonomialIdeal(6, [tuple(int(v in t) for v in range(1, 7)) for t in triples])
+    top = (1,) * 6
+    for char, totals, reg in ((0, (10, 15, 6), 3), (3, (10, 15, 6), 3), (2, (10, 15, 7, 1), 4)):
+        table = betti_table(ideal, char)
+        assert table.totals() == totals and table.regularity() == reg, char
+        assert euler_consistency_check(ideal, table) == (True, []), char
+        at_top = [table.entries.get((i, top), 0) for i in (2, 3)]
+        assert at_top == ([1, 1] if char == 2 else [0, 0]), char
 
 
 def test_principal_ideal():

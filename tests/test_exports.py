@@ -42,6 +42,9 @@ def test_every_exported_name_resolves():
         (Monomial, "n"),
         (Monomial, "__post_init__"),
         (hypergraphs, "restricted_dual"),
+        (hyperideal, "matrix_rank"),
+        (hyperideal, "SimplicialComplex"),
+        (hyperideal.homology, "_boundary_matrix"),
     ],
 )
 def test_removed_names_stay_gone(owner, name):

@@ -10,7 +10,7 @@ from hyperideal.homology import (
     MAX_CHARACTERISTIC,
     GuardError,
     SimplicialComplex,
-    _boundary_matrix,
+    _boundary_rows,
     _by_dim,
     _closure,
     _is_prime,
@@ -20,10 +20,15 @@ from hyperideal.homology import (
 )
 
 
-def boundary_matrix(complex_, k):
-    """Matrix of the boundary map from k-faces to (k-1)-faces, with the
-    usual alternating signs; the empty face sits in degree -1."""
-    return _boundary_matrix(_by_dim(_closure(complex_.facets)), k)
+def boundary_rows(complex_, k):
+    """The boundary map from k-faces to (k-1)-faces, one row per k-face,
+    with the usual alternating signs; the empty face sits in degree -1."""
+    return _boundary_rows(_by_dim(_closure(complex_.facets)), k)
+
+
+def sparse(rows):
+    """A dense matrix as the rows ``matrix_rank`` takes, zero entries kept."""
+    return [dict(enumerate(row)) for row in rows]
 
 
 def rank_over_rationals(rows):
@@ -266,13 +271,14 @@ def graphs(draw):
 
 def test_augmentation_rank_takes_no_matrix(monkeypatch):
     # The boundary from degree 0 to degree -1 has rank 1 when a vertex is
-    # listed and 0 otherwise; it is the only boundary with one row (the
-    # empty face), since a k-face has k + 1 faces of dimension k - 1.
-    shapes = []
+    # listed and 0 otherwise; it is the only boundary whose rows have one
+    # entry (the empty face), since a k-face has k + 1 faces of dimension
+    # k - 1.
+    row_sizes = []
     original = homology.matrix_rank
 
     def spy(rows, char=0):
-        shapes.append(len(rows))
+        row_sizes.extend(map(len, rows))
         return original(rows, char)
 
     monkeypatch.setattr(homology, "matrix_rank", spy)
@@ -288,12 +294,12 @@ def test_augmentation_rank_takes_no_matrix(monkeypatch):
             expected = reference_reduced_homology(complex_.faces, char)
             assert complex_.reduced_homology_dims(char) == expected, char
 
-    shapes.clear()
+    row_sizes.clear()
     check()
-    assert shapes and 1 not in shapes
-    shapes.clear()
+    assert row_sizes and 1 not in row_sizes
+    row_sizes.clear()
     assert irrelevant.reduced_homology_dims() == (1,)
-    assert shapes == []
+    assert row_sizes == []
 
 
 def test_star_plus_edge_ranks_its_own_faces(closures):
@@ -307,17 +313,50 @@ def test_star_plus_edge_ranks_its_own_faces(closures):
     assert closures == [own_side(graph)]
 
 
+def test_nerve_above_the_top_degree_is_not_ranked(closures, monkeypatch):
+    # Seven tetrahedra on eight vertices, width 5: vertices 2 and 6 lie in
+    # six facets, so the nerve (104 faces against 112) has dimension 5, and
+    # its boundaries out of degrees 1 to 4 give the five degrees returned.
+    facets = (
+        (1, 2, 3, 6),
+        (1, 2, 6, 8),
+        (1, 3, 5, 7),
+        (2, 3, 4, 6),
+        (2, 4, 5, 6),
+        (2, 4, 6, 8),
+        (2, 5, 6, 7),
+    )
+    complex_ = SimplicialComplex._from_facets(tuple(range(1, 9)), facets)
+    expected = {char: reference_reduced_homology(complex_.faces, char) for char in (0, 2, 3)}
+    assert set(expected.values()) == {(0, 0, 1, 0, 0)}
+    calls = []
+    original = homology.matrix_rank
+
+    def spy(rows, char=0):
+        calls.append(char)
+        return original(rows, char)
+
+    monkeypatch.setattr(homology, "matrix_rank", spy)
+    for char, dims in expected.items():
+        closures.clear()
+        calls.clear()
+        assert complex_.reduced_homology_dims(char) == dims
+        (nerve,) = closures
+        assert nerve != own_side(complex_) and max(map(len, nerve)) == 6
+        assert calls == [char] * 4
+
+
 @given(st.one_of(matrices, wide_matrices))
 @settings(max_examples=250)
 def test_rank_matches_fraction_elimination(rows):
-    assert matrix_rank(rows, 0) == rank_over_rationals(rows)
+    assert matrix_rank(sparse(rows), 0) == rank_over_rationals(rows)
 
 
 @given(st.one_of(matrices, wide_matrices))
 @settings(max_examples=120)
 def test_mod_p_rank_matches_dense_elimination(rows):
     for p in PRIMES:
-        assert matrix_rank(rows, p) == rank_mod_p(rows, p), p
+        assert matrix_rank(sparse(rows), p) == rank_mod_p(rows, p), p
 
 
 @given(random_complexes())
@@ -328,26 +367,27 @@ def test_boundary_ranks_match_references(complex_):
     for f in sorted(tuple(sorted(f)) for f in complex_.faces):
         by_size.setdefault(len(f), []).append(f)
     for k in range(top + 1):
-        d = boundary_matrix(complex_, k)
+        rows = boundary_rows(complex_, k)
         # The face f without position pos has the entry (-1)^pos.
         signs = [
             {f[:pos] + f[pos + 1 :]: (-1) ** pos for pos in range(len(f))}
             for f in by_size.get(k + 1, [])
         ]
-        assert d == [[col.get(r, 0) for col in signs] for r in by_size.get(k, [])], k
-        assert matrix_rank(d, 0) == rank_over_rationals(d), k
-        assert matrix_rank(d, 2) == rank_mod_p(d, 2), k
+        assert [{by_size[k][c]: v for c, v in row.items()} for row in rows] == signs, k
+        dense = [[col.get(r, 0) for col in signs] for r in by_size.get(k, [])]
+        assert matrix_rank(rows, 0) == rank_over_rationals(dense), k
+        assert matrix_rank(rows, 2) == rank_mod_p(dense, 2), k
 
 
 def test_rank_drops_in_characteristic_two():
-    m = [[1, 1], [1, -1]]
+    m = sparse([[1, 1], [1, -1]])
     assert matrix_rank(m, 0) == 2
     assert matrix_rank(m, 2) == 1
 
 
 def test_rank_empty():
     assert matrix_rank([], 0) == 0
-    assert matrix_rank([[]], 0) == 0
+    assert matrix_rank(sparse([[]]), 0) == 0
 
 
 def test_complex_validation():
@@ -389,7 +429,7 @@ def test_trusted_complex_equals_validated():
     assert trusted.faces == validated.faces
     assert trusted.reduced_homology_dims() == validated.reduced_homology_dims() == (0, 0, 0)
     for k in range(0, 2):
-        assert boundary_matrix(trusted, k) == boundary_matrix(validated, k)
+        assert boundary_rows(trusted, k) == boundary_rows(validated, k)
 
 
 def test_void_versus_irrelevant():
@@ -430,33 +470,38 @@ def test_sphere():
     assert sphere.reduced_homology_dims(2) == (0, 0, 0, 1)
 
 
+# The 6-vertex real projective plane.
+RP2_TRIANGLES = (
+    (1, 2, 3),
+    (1, 3, 4),
+    (1, 4, 5),
+    (1, 5, 6),
+    (1, 2, 6),
+    (2, 3, 5),
+    (3, 4, 6),
+    (2, 4, 5),
+    (3, 5, 6),
+    (2, 4, 6),
+)
+
+
 def test_projective_plane_depends_on_characteristic():
-    triangles = [
-        (1, 2, 3),
-        (1, 3, 4),
-        (1, 4, 5),
-        (1, 5, 6),
-        (1, 2, 6),
-        (2, 3, 5),
-        (3, 4, 6),
-        (2, 4, 5),
-        (3, 5, 6),
-        (2, 4, 6),
-    ]
-    rp2 = complex_of([1, 2, 3, 4, 5, 6], triangles)
+    rp2 = complex_of([1, 2, 3, 4, 5, 6], RP2_TRIANGLES)
     assert rp2.reduced_homology_dims(0) == (0, 0, 0, 0)
     assert rp2.reduced_homology_dims(2) == (0, 0, 1, 1)
 
 
 def test_boundary_squares_to_zero():
     sphere = complex_of([1, 2, 3, 4], [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
-    d2 = boundary_matrix(sphere, 2)
-    d1 = boundary_matrix(sphere, 1)
-    product = [
-        [sum(d1[i][k] * d2[k][j] for k in range(len(d2))) for j in range(len(d2[0]))]
-        for i in range(len(d1))
-    ]
-    assert all(all(e == 0 for e in row) for row in product)
+    d1 = boundary_rows(sphere, 1)
+    # Row t of d2 lists the edges of triangle t; row e of d1 the vertices
+    # of edge e, so the composite sends t to the sum over its edges.
+    for triangle in boundary_rows(sphere, 2):
+        image = {}
+        for edge, sign in triangle.items():
+            for vertex, inner in d1[edge].items():
+                image[vertex] = image.get(vertex, 0) + sign * inner
+        assert set(image.values()) == {0}
 
 
 def test_ground_set_guard(closures):
