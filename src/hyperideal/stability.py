@@ -10,7 +10,8 @@ degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import ge
+from typing import Callable, Optional, Sequence
 
 from .ideals import MonomialIdeal
 from .monomials import Monomial, compositions, exponent_vector
@@ -138,49 +139,99 @@ def _check_pure_power_hypothesis(exponents: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _box_stable(a: Sequence[int], t: int) -> bool:
-    """Whether (x_1^{a_1}, ..., x_n^{a_n}), exponents >= 1 in any order,
-    truncated at degree t >= max(a) is stable, decided without listing
-    the truncation.
+def _box_walk(
+    inside: Callable[[tuple[int, ...]], bool], caps: Sequence[int], t: int
+) -> Optional[StabilityWitness]:
+    """The witness of :func:`_witness` for the degree-t members of an ideal
+    holding x_i^{caps_i + 1} for every i and no generator above degree t,
+    decided on the standard monomials of degree t - 1; ``inside`` is the
+    ideal's membership test on exponent tuples.
 
-    Since no generator lies above t, the truncation's generators are its
-    degree-t members.  :func:`_witness` skips a member u whose u / x_m is
-    a member, so it scans only u = x_m * v with v a standard monomial
-    (v_i < a_i for every i) of degree t - 1, m >= m(v) and x_m * v in the
-    ideal; the shifts of u are x_j * v for j < m.  For v in the box, x_k * v
-    is a member exactly when v_k = a_k - 1, so the walk compares each v with
-    the corner a - 1 and tests no membership.
+    :func:`_witness` skips a member u whose u / x_m(u) is a member, since
+    then every shift of u is one too.  Every other member is u = x_m * v
+    with v of degree t - 1 outside the ideal, so inside the box v_i <=
+    caps_i, and m >= m(v); its shifts are x_j * v for j < m.  So for each
+    such v the walk takes the largest m >= m(v) with x_m * v inside and
+    the smallest j < m with x_j * v outside, the failing shift of largest
+    gap m - j among the members over v.  Ties between the v break as in
+    :func:`_witness`: smaller j, then generator order, which within one
+    degree puts the lexicographically larger u first.
     """
-    corner = tuple(e - 1 for e in a)
-    for v in compositions(t - 1, corner):
-        top = max((i for i, e in enumerate(v) if e), default=0)  # m(v) - 1, or 0 at v = 1
-        for m in range(top, len(a)):
-            if v[m] == corner[m] and v[:m] != corner[:m]:
-                return False
-    return True
+    n = len(caps)
+    best = None
+    for v in compositions(t - 1, caps):
+        if inside(v):
+            continue
+        low = n - 1  # m(v) - 1, or 0 at v = 1
+        while low and not v[low]:
+            low -= 1
+        exps = list(v)
+        for m in range(n - 1, low - 1, -1):
+            exps[m] += 1
+            hit = inside(tuple(exps))
+            exps[m] -= 1
+            if hit:
+                break
+        else:
+            continue
+        for j in range(m):
+            exps[j] += 1
+            shifted = tuple(exps)
+            exps[j] -= 1
+            if not inside(shifted):
+                u = v[:m] + (v[m] + 1,) + v[m + 1 :]
+                key = (m - j, -j, u)
+                if best is None or key > best[0]:
+                    best = (key, u, j, shifted)
+                break
+    if best is None:
+        return None
+    _, u, j, shifted = best
+    return StabilityWitness(Monomial(u), j + 1, Monomial(shifted))
+
+
+def _box_caps(ideal: MonomialIdeal, t: int) -> Optional[list[int]]:
+    """The caps a_i - 1 of :func:`_box_walk` when ``ideal`` holds a pure
+    power x_i^{a_i} of every variable and no generator above degree t,
+    else None; one pass over the generators."""
+    caps = [-1] * ideal.n
+    for g in ideal._exps:
+        d = sum(g)
+        if d > t:
+            return None
+        if d in g:  # a pure power: its one nonzero entry is its degree
+            caps[g.index(d)] = d - 1
+    return None if -1 in caps else caps
 
 
 def pure_power_truncation_stable(exponents: Sequence[int]) -> bool:
     """Test that (x_1^{a_1}, ..., x_n^{a_n}) with n-1 >= a_1 >= ... >= a_n >= 1,
-    truncated at t = sum - max, is stable.
+    truncated at t = sum - max, is stable, without listing the truncation.
 
-    The hypothesis gives t >= n - 1 >= a_1 = max(a), so
-    :func:`_box_stable` decides it on the box of standard monomials.
-    There the degree t - 1 holds at most the corner (a_i - 1), reached
-    only when a_1 = n - 1, so the walk makes O(n^2) corner comparisons.
+    The hypothesis gives t >= n - 1 >= a_1 = max(a), so no generator lies
+    above t and :func:`_box_walk` decides it, a monomial being a member
+    when some exponent reaches a_i.  Degree t - 1 holds at most one
+    standard monomial, the corner (a_i - 1), reached only when a_1 = n - 1,
+    so the walk makes at most 2n membership tests.
     """
     a = _check_pure_power_hypothesis(exponents)
-    return _box_stable(a, sum(a) - a[0])
+    return _box_walk(lambda u: any(map(ge, u, a)), [e - 1 for e in a], sum(a) - a[0]) is None
 
 
 def truncation_stability(ideal: MonomialIdeal, t: int) -> StabilityReport:
     """Stability report for ideal.truncate(t), with the same verdict and
     witness as is_stable on the truncation.
 
-    Shifting a generator preserves its degree, so membership of the
-    shifted monomial in the truncation is just membership in the original
-    ideal; testing against the few original generators stays cheap even
-    when the truncation has thousands.
+    The truncation is listed first, so its guard fires before any other
+    work.  Shifting a generator preserves its degree, so membership of a
+    shift in the truncation is membership in the original ideal, tested
+    against its few generators.  When the ideal holds a pure power of
+    every variable and no generator above t, :func:`_box_walk` finds the
+    witness on the standard monomials of degree t - 1; otherwise
+    :func:`_witness` scans the truncation's generators.
     """
     truncated = ideal.truncate(t)
-    return StabilityReport(truncated, _witness(truncated, ideal))
+    caps = _box_caps(ideal, t)
+    if caps is None:
+        return StabilityReport(truncated, _witness(truncated, ideal))
+    return StabilityReport(truncated, _box_walk(ideal.contains, caps, t))

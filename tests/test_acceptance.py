@@ -184,7 +184,7 @@ def test_criterion_4_random_chain_suite():
 def test_criterion_5_pure_power_truncations():
     def body():
         rng = Random(8127555)
-        oracle_checked = 0
+        oracle_checked = direct_checked = 0
         for _ in range(100):
             n = rng.randint(2, 6)
             a = sorted((rng.randint(1, n - 1) for _ in range(n)), reverse=True)
@@ -200,12 +200,15 @@ def test_criterion_5_pure_power_truncations():
 
             cut = ideal.truncate(t)
             assert report.ideal is cut  # listed once, by the report
+            if len(cut.gens) <= 500:  # is_stable tests each member against every one
+                assert report.witness == is_stable(cut).witness
+                direct_checked += 1
             assert all(g.degree() == t for g in cut.gens)
             assert cut.deg() == t
             if len(cut.gens) <= 20:
                 assert regularity(cut, 0) == t
                 oracle_checked += 1
-        assert oracle_checked >= 15
+        assert oracle_checked >= 15 and direct_checked >= 70
 
     _criterion(5, "100 pure-power truncations at t", body)
 

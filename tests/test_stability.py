@@ -1,17 +1,20 @@
 import itertools
 import random
 from dataclasses import fields
+from operator import ge
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperideal.ideals import MonomialIdeal
+from hyperideal.homology import GuardError
+from hyperideal.hypergraphs import build_hypergraph, special_dual
+from hyperideal.ideals import MAX_TRUNCATION, MonomialIdeal
 from hyperideal.monomials import Monomial
 from hyperideal.stability import (
     StabilityReport,
     StabilityWitness,
-    _box_stable,
+    _box_walk,
     _witness,
     is_stable,
     is_stable_exhaustive,
@@ -256,12 +259,89 @@ def test_box_walk_matches_witness_on_every_small_box():
             ideal = MonomialIdeal(
                 n, (tuple(a[i] if k == i else 0 for k in range(n)) for i in range(n))
             )
+            caps = [e - 1 for e in a]
             for t in range(max(a), sum(a) + 1):
-                expected = _witness(ideal.truncate(t), ideal) is None
-                assert _box_stable(a, t) == expected, (a, t)
-                verdicts.append(expected)
+                expected = _witness(ideal.truncate(t), ideal)
+                assert _box_walk(lambda u: any(map(ge, u, a)), caps, t) == expected, (a, t)
+                assert _box_walk(ideal.contains, caps, t) == expected, (a, t)
+                verdicts.append(expected is None)
     assert len(verdicts) == 2264
     assert verdicts.count(False) == 1012
+
+
+@st.composite
+def ideals_with_every_pure_power(draw):
+    """A pure power of every variable, plus up to 3 other generators."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    powers = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
+    gens = [tuple(p if k == i else 0 for k in range(n)) for i, p in enumerate(powers)]
+    others = st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    gens += draw(st.lists(others.filter(any), max_size=3))
+    return MonomialIdeal(n, gens)
+
+
+# At t = 4 the members (0,1,0,3) and (0,0,1,3) both fail at j = 1 with
+# gap 3, and the lexicographically larger wins; at t = 3 the witness
+# x4^3 = x4 * x4^2 has m = m(v); at t = 1 and 2, x4^3 lies above t.
+@example(MonomialIdeal(4, [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)]))
+# At t = 4 both x2 * v and x4 * v are members for v = (1,2,0,0), and the
+# witness is x4 * v, of the larger m.
+@example(MonomialIdeal(4, [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)]))
+@given(ideals_with_every_pure_power())
+@settings(max_examples=80)
+def test_truncation_witness_on_the_box_matches_reference(ideal):
+    for t in range(1, ideal.deg() + 3):
+        cut = ideal.truncate(t)
+        report = truncation_stability(ideal, t)
+        assert report.ideal == cut
+        assert report.witness == reference_witness(cut, ideal) == is_stable(cut).witness, t
+
+
+def contains_calls(monkeypatch):
+    """A list that grows by one entry per ``MonomialIdeal.contains`` call."""
+    calls = []
+    original = MonomialIdeal.contains
+
+    def spy(self, u):
+        calls.append(u)
+        return original(self, u)
+
+    monkeypatch.setattr(MonomialIdeal, "contains", spy)
+    return calls
+
+
+def test_box_walk_tests_few_memberships(monkeypatch):
+    # 715 degree-9 members; the box below (3, 3, 2, 0, 0) holds one monomial
+    # of degree 8, whose test, x5's shift and x1..x4's shifts settle them all.
+    a = (4, 4, 3, 1, 1)
+    ideal = MonomialIdeal(5, (tuple(a[i] if k == i else 0 for k in range(5)) for i in range(5)))
+    cut = ideal.truncate(9)
+    assert len(cut.gens) == 715
+    calls = contains_calls(monkeypatch)
+    assert truncation_stability(ideal, 9).is_stable
+    assert len(calls) == 6
+
+
+def test_chain_dual_keeps_the_member_scan(monkeypatch):
+    # The running example's dual lacks a pure power of x3 and x4.
+    sd = special_dual(build_hypergraph(4, 1, [[1, 2], [1, 2, 3], [1, 2, 3, 4]]))
+    dual_r, t = sd.dual_r, t_bound(sd.a)
+    cut = dual_r.truncate(t)
+    calls = contains_calls(monkeypatch)
+    report = truncation_stability(dual_r, t)
+    scanned = len(calls)
+    assert report.witness == _witness(cut, dual_r)
+    assert scanned > 0 and len(calls) == 2 * scanned
+
+
+def test_truncation_guard_fires_before_any_membership_test(monkeypatch):
+    def refuse(self, u):
+        raise AssertionError("contains called")
+
+    monkeypatch.setattr(MonomialIdeal, "contains", refuse)
+    ideal = MonomialIdeal(8, [tuple(int(i == k) for k in range(8)) for i in range(8)])
+    with pytest.raises(GuardError, match=f"limit {MAX_TRUNCATION}"):
+        truncation_stability(ideal, 30)
 
 
 def test_pure_power_never_lists_the_truncation(monkeypatch):
