@@ -227,11 +227,15 @@ def truncation_stability(ideal: MonomialIdeal, t: int) -> StabilityReport:
     shift in the truncation is membership in the original ideal, tested
     against its few generators.  When the ideal holds a pure power of
     every variable and no generator above t, :func:`_box_walk` finds the
-    witness on the standard monomials of degree t - 1; otherwise
-    :func:`_witness` scans the truncation's generators.
+    witness on the standard monomials of degree t - 1, fewer than the
+    degree-t monomials the guard priced; otherwise :func:`_witness` scans
+    the truncation's generators.  An ideal with no generator below t is
+    its own truncation, listed and priced by no one, so its generators
+    are scanned and the walk is never taken.
     """
     truncated = ideal.truncate(t)
-    caps = _box_caps(ideal, t)
-    if caps is None:
-        return StabilityReport(truncated, _witness(truncated, ideal))
-    return StabilityReport(truncated, _box_walk(ideal.contains, caps, t))
+    if truncated is not ideal:
+        caps = _box_caps(ideal, t)
+        if caps is not None:
+            return StabilityReport(truncated, _box_walk(ideal.contains, caps, t))
+    return StabilityReport(truncated, _witness(truncated, ideal))

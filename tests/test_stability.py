@@ -344,6 +344,29 @@ def test_truncation_guard_fires_before_any_membership_test(monkeypatch):
         truncation_stability(ideal, 30)
 
 
+def test_ideal_that_is_its_own_truncation_scans_its_generators(monkeypatch):
+    # Every generator has degree t, so truncate(t) returns the ideal without
+    # pricing it; walking the C(36, 7) = 8,347,680 monomials of degree 29
+    # would be unguarded work, while the 8 generators settle it: one test of
+    # u / x_m each, and one shift for each but x1^30.  The spy refuses a
+    # 16th call, so a walk fails at once instead of running for minutes.
+    ideal = MonomialIdeal(8, [tuple(30 * (i == k) for k in range(8)) for i in range(8)])
+    expected = is_stable(ideal).witness
+    calls = []
+    original = MonomialIdeal.contains
+
+    def spy(self, u):
+        calls.append(u)
+        assert len(calls) <= 15, "more membership tests than the generator scan"
+        return original(self, u)
+
+    monkeypatch.setattr(MonomialIdeal, "contains", spy)
+    report = truncation_stability(ideal, 30)
+    assert report.ideal is ideal
+    assert report.witness == expected is not None
+    assert len(calls) == 15
+
+
 def test_pure_power_never_lists_the_truncation(monkeypatch):
     def refuse(self, t):
         raise AssertionError("truncate called")
