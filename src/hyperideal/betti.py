@@ -23,21 +23,22 @@ whose every permutation fixes the ideal.  A permutation that fixes the
 ideal maps the lcm lattice onto itself and K^b onto a relabelled K^(sigma b),
 so both have the same reduced homology over every field (Miller and
 Sturmfels, Combinatorial Commutative Algebra, ch. 1 and 5).  A table
-therefore builds K^b only at one point of each orbit, the one whose values
-are sorted descending inside each class, and copies its dimensions to the
-rest of the orbit from a dict kept for the length of one call.  Twin
-variables, on which every generator agrees, never split a lattice point
-and form no class.  The lattice guards fire before any class is sought,
-and an orbit shares its support size and its cone test, so the guards
-answer as they would at every point.
+therefore keys each orbit by b's values outside the classes and its sorted
+values inside each class, builds K^b only at the first point of the orbit
+that canonical order meets, the orbit's lexicographically largest point,
+and copies its dimensions to the rest of the orbit from a dict kept for
+the length of one call.  Twin variables, on which every generator agrees,
+never split a lattice point and form no class.  The lattice guards fire
+before any class is sought, and an orbit shares its support size and its
+cone test, so the guards answer as they would at every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from bisect import bisect_left
-from itertools import combinations, compress
-from operator import getitem, gt, lt, ne
+from itertools import combinations, compress, repeat
+from operator import getitem, gt, itemgetter, lt, ne
 
 from .homology import GuardError, SimplicialComplex, _maximal, validate_characteristic
 from .ideals import MonomialIdeal
@@ -175,17 +176,6 @@ def _interchangeable_classes(exps: list[tuple[int, ...]]) -> list[tuple[int, ...
     return sorted({tuple(sorted(c)) for c in classes.values()})
 
 
-def _representative(b: tuple[int, ...], classes: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The point of b's orbit with its values sorted descending inside each
-    class: the lexicographically largest, so canonical order reaches it
-    first."""
-    rep = list(b)
-    for cls in classes:
-        for k, v in zip(cls, sorted((b[k] for k in cls), reverse=True)):
-            rep[k] = v
-    return tuple(rep)
-
-
 def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     """Exact multigraded Betti numbers of the ideal over a field of the
     given characteristic."""
@@ -196,12 +186,20 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     # Most lattice points repeat a nerve ranked before, or an orbit met
     # before; both dicts live for this call only.
     memo: dict = {}
-    orbit_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for b in lattice:
-        rep = _representative(b, classes) if classes else b
-        if rep not in orbit_dims:
-            orbit_dims[rep] = koszul_complex(ideal, rep).reduced_homology_dims(char, memo)
-        for offset, dim in enumerate(orbit_dims[rep]):
+    orbit_dims: dict[tuple, tuple[int, ...]] = {}
+    keys = lattice
+    if classes:
+        # An orbit's key: b outside the classes, then b's sorted values in each class.
+        outside = [all(k not in c for c in classes) for k in range(ideal.n)]
+        keys = zip(
+            map(tuple, map(compress, lattice, repeat(outside))),
+            *[map(tuple, map(sorted, map(itemgetter(*c), lattice))) for c in classes],
+        )
+    for b, key in zip(lattice, keys):
+        dims = orbit_dims.get(key)
+        if dims is None:
+            dims = orbit_dims[key] = koszul_complex(ideal, b).reduced_homology_dims(char, memo)
+        for offset, dim in enumerate(dims):
             if dim:
                 entries[(offset, b)] = dim
     return BettiTable(char, entries)

@@ -8,14 +8,13 @@ Kernel contract: an ideal is built from exponent vectors, and
 :func:`exponent_vector` is the one check of a vector from outside.  Inside,
 exponent tuples move unchecked but for the length checks of
 ``MonomialIdeal.contains`` and ``koszul_complex``; ``lcm_lattice`` returns
-tuples and :func:`divides_any` decides membership.  A :class:`Monomial` is
-only what the package shows: ``MonomialIdeal.gens``, a stability witness,
-``str``.
+tuples and :func:`divides_any` decides membership.  A :class:`Monomial`,
+an exponent tuple that prints as a monomial, is only what the package
+shows: ``MonomialIdeal.gens``, a stability witness, ``str``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import gt
 from typing import Iterable, Sequence
 
@@ -35,42 +34,34 @@ def exponent_vector(v: Iterable[int], n: int | None = None) -> tuple[int, ...]:
     return exps
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial x1^e1 * ... * xn^en, shown by its exponent vector.
+class Monomial(tuple):
+    """A monomial x1^e1 * ... * xn^en: its exponent tuple, shown as a monomial.
 
     Built only for display, from exponent tuples already checked, so it
-    checks nothing.  The unit monomial (all zeros) prints as ``1``;
-    :meth:`max_index` raises ``ValueError`` on it.
+    checks nothing; no attribute can be set.  The unit monomial (all
+    zeros) prints as ``1``; :meth:`max_index` raises ``ValueError`` on it.
     """
 
-    exponents: tuple[int, ...]
+    __slots__ = ()
+    exponents = property(tuple, doc="The exponent vector as a plain ``tuple``.")
 
     def degree(self) -> int:
         """Total degree: the sum of the exponents."""
-        return sum(self.exponents)
+        return sum(self)
 
     def max_index(self) -> int:
-        """Largest 1-based variable index dividing the monomial.
-
-        Undefined (raises) on the unit monomial.
-        """
-        exps = self.exponents
-        for i in range(len(exps) - 1, -1, -1):
-            if exps[i] >= 1:
-                return i + 1
+        """Largest 1-based variable index dividing the monomial."""
+        for i in range(len(self), 0, -1):
+            if self[i - 1]:
+                return i
         raise ValueError("max index of the unit monomial is undefined")
 
+    def __repr__(self) -> str:
+        return f"Monomial(exponents={tuple(self)!r})"
+
     def __str__(self) -> str:
-        if not any(self.exponents):
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{i + 1}")
-            elif e >= 2:
-                parts.append(f"x{i + 1}^{e}")
-        return "*".join(parts)
+        parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(self, 1) if e]
+        return "*".join(parts) or "1"
 
 
 def divides_any(gens: Iterable[tuple[int, ...]], u: tuple[int, ...]) -> bool:

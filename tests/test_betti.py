@@ -8,7 +8,6 @@ from hyperideal import betti, homology
 from hyperideal.betti import (
     MAX_GENERATORS,
     _interchangeable_classes,
-    _representative,
     _signed_subset_counts,
     betti_table,
     euler_consistency_check,
@@ -252,6 +251,43 @@ def reference_classes(ideal):
     )
 
 
+def reference_representative(b, classes):
+    """The point of b's orbit with its values sorted descending inside each
+    class: the orbit's lexicographically largest point."""
+    rep = list(b)
+    for cls in classes:
+        for k, v in zip(cls, sorted((b[k] for k in cls), reverse=True)):
+            rep[k] = v
+    return tuple(rep)
+
+
+def koszul_points_built(ideal):
+    """The points, in order, at which one ``betti_table`` call builds K^b,
+    and the table."""
+    built = []
+    original = betti.koszul_complex
+
+    def spy(ideal, b):
+        built.append(b)
+        return original(ideal, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "koszul_complex", spy)
+        table = betti_table(ideal, 0)
+    return built, table
+
+
+def assert_built_once_per_orbit_at_its_largest_point(ideal, built):
+    classes = reference_classes(ideal)
+    lattice = lcm_lattice(ideal)
+    # Each orbit lies in the lattice, and canonical order meets it first at
+    # its lexicographically largest point, the reference representative.
+    for b in lattice:
+        rep = reference_representative(b, classes)
+        assert rep >= b and rep in lattice
+    assert built == [b for b in lattice if b == reference_representative(b, classes)]
+
+
 @st.composite
 def planted_symmetry_ideals(draw):
     """Random generators closed under every permutation of one or two random
@@ -305,6 +341,14 @@ def test_orbit_tables_match_every_point_on_planted_symmetry(ideal):
         assert betti_table(ideal, char).entries == betti_entries_at_every_point(ideal, char)
 
 
+@given(planted_symmetry_ideals())
+@settings(max_examples=60)
+def test_one_koszul_complex_per_orbit_on_planted_symmetry(ideal):
+    # Non-contiguous classes beside twin, zero and shuffled columns.
+    built, _ = koszul_points_built(ideal)
+    assert_built_once_per_orbit_at_its_largest_point(ideal, built)
+
+
 def restricted_chain_dual(e1, d, s):
     """The restricted special dual of the uniform chain E_1 of size e1,
     each later edge adding d vertices, s edges in all."""
@@ -332,19 +376,11 @@ def test_interchangeable_classes_pinned():
         ramps = MonomialIdeal(n, [range(1, n + 1), range(n, 0, -1)])
         assert _interchangeable_classes(ramps._exps) == []
     # The representative sorts inside each class only.
-    assert _representative((1, 3, 2, 0, 5), [(0, 1, 2), (3, 4)]) == (3, 2, 1, 5, 0)
-    assert _representative((1, 3, 2, 0, 5), [(1, 2)]) == (1, 3, 2, 0, 5)
+    assert reference_representative((1, 3, 2, 0, 5), [(0, 1, 2), (3, 4)]) == (3, 2, 1, 5, 0)
+    assert reference_representative((1, 3, 2, 0, 5), [(1, 2)]) == (1, 3, 2, 0, 5)
 
 
-def test_one_koszul_complex_per_orbit(monkeypatch):
-    built = []
-    original = betti.koszul_complex
-
-    def spy(ideal, b):
-        built.append(b)
-        return original(ideal, b)
-
-    monkeypatch.setattr(betti, "koszul_complex", spy)
+def test_one_koszul_complex_per_orbit():
     ideals = [
         restricted_chain_dual(3, 2, 2),
         restricted_chain_dual(2, 1, 3),
@@ -353,13 +389,10 @@ def test_one_koszul_complex_per_orbit(monkeypatch):
         MonomialIdeal(4, [(1, 2, 3, 4), (4, 3, 2, 1)]),
     ]
     for ideal in ideals:
-        classes = reference_classes(ideal)
-        orbits = {_representative(b, classes) for b in lcm_lattice(ideal)}
         for _ in range(2):
             # The second table builds as many: nothing is kept between calls.
-            built.clear()
-            table = betti_table(ideal, 0)
-            assert sorted(built) == sorted(orbits)
+            built, table = koszul_points_built(ideal)
+            assert_built_once_per_orbit_at_its_largest_point(ideal, built)
             assert table.entries == betti_entries_at_every_point(ideal, 0)
     # Without a class every point is its own orbit.
     assert len(built) == len(lcm_lattice(ideal)) == 3

@@ -45,6 +45,7 @@ def test_every_exported_name_resolves():
         (hyperideal, "matrix_rank"),
         (hyperideal, "SimplicialComplex"),
         (hyperideal.homology, "_boundary_matrix"),
+        (hyperideal.betti, "_representative"),
     ],
 )
 def test_removed_names_stay_gone(owner, name):

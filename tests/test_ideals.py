@@ -619,6 +619,34 @@ def test_fold_scan_guard(monkeypatch):
     )
 
 
+@given(fold_lists(), st.data())
+@settings(max_examples=200)
+def test_fold_refuses_where_its_exact_estimate_passes_the_limit(components, data):
+    # A fold refuses at the first step whose exact estimate, the running
+    # generators times the carriers of supp(v), times n passes the limit,
+    # with that estimate in the message; below every estimate it answers.
+    n = len(components[0])
+    scans = []
+    for k, v in enumerate(components):
+        gens = reference_intersect(components[:k])._exps if k else [(0,) * n]
+        scans.append(len(gens) * sum(bool(h[i]) for h in gens for i, p in enumerate(v) if p))
+    expected = reference_intersect(components)  # before its _minimize meets the limit
+    limit = data.draw(st.sampled_from(sorted({s * n for s in scans} | {s * n - 1 for s in scans if s})))
+    over = [k for k, s in enumerate(scans, start=1) if s * n > limit]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "MAX_FOLD_COMPARISONS", limit)
+        if not over:
+            assert fold(components) == expected
+            return
+        with pytest.raises(GuardError) as exc:
+            fold(components)
+    assert str(exc.value) == (
+        f"intersection of {len(components)} irreducible components: {scans[over[0] - 1]:.2g} "
+        f"carrier scans of {n} coordinates at component {over[0]} exceed the desk-scale "
+        f"limit {limit} comparisons"
+    )
+
+
 def test_vertex_guard_refuses_before_any_row(monkeypatch):
     # At the limit an ideal is built; one variable above it is refused
     # before the first row is read.

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperideal.betti import koszul_complex
 from hyperideal.ideals import MonomialIdeal
+from hyperideal.stability import is_stable
 from hyperideal.monomials import (
     Monomial,
     canonical_sorted,
@@ -120,6 +122,70 @@ def test_str_forms():
     assert str(Monomial((0, 0, 0))) == "1"
     assert str(Monomial((3, 3, 0, 0))) == "x1^3*x2^3"
     assert str(Monomial((1, 0, 1, 1))) == "x1*x3*x4"
+    assert str(Monomial((0, 5, 1))) == "x2^5*x3"
+    assert f"{Monomial((2, 0, 1))}" == "x1^2*x3"
+
+
+# The frozen dataclass a Monomial used to be, kept as the reference for its repr.
+DataclassMonomial = dataclass(frozen=True)(
+    type("Monomial", (), {"__annotations__": {"exponents": tuple}})
+)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**12), max_size=6).map(tuple))
+def test_monomial_repr_is_the_dataclass_form(exps):
+    assert repr(Monomial(exps)) == repr(DataclassMonomial(exps))
+
+
+def test_monomial_is_its_exponent_tuple():
+    u = Monomial((3, 0, 2))
+    assert repr(u) == "Monomial(exponents=(3, 0, 2))"
+    assert repr(Monomial((4,))) == "Monomial(exponents=(4,))"
+    # exponents is the plain tuple, which prints as a tuple, not as u.
+    assert type(u.exponents) is tuple
+    assert u.exponents == (3, 0, 2)
+    assert repr([u.exponents]) == "[(3, 0, 2)]"
+    # Equal exponents make equal monomials with equal hashes.
+    assert u == Monomial([3, 0, 2]) and hash(u) == hash(Monomial([3, 0, 2]))
+    assert u != Monomial((2, 0, 3))
+    assert len({u, Monomial((3, 0, 2)), Monomial((0, 3, 2))}) == 2
+
+
+def test_monomial_sets_no_attribute():
+    u = Monomial((1, 2))
+    for name in ("exponents", "n", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, (5, 5))
+        with pytest.raises(AttributeError):
+            object.__setattr__(u, name, (5, 5))
+    assert u.exponents == (1, 2)
+
+
+def test_monomial_keeps_the_tuple_constructor_and_operators():
+    # A Monomial is a tuple: its repr form does not construct one, and the
+    # tuple operators repeat and concatenate exponents; neither multiplies.
+    u, v = Monomial((3, 0, 2)), Monomial((1, 1, 0))
+    with pytest.raises(TypeError):
+        Monomial(exponents=(3, 0, 2))
+    assert eval(repr(u).replace("exponents=", ""), {"Monomial": Monomial}) == u
+    assert u * 2 == (3, 0, 2, 3, 0, 2) and type(u * 2) is tuple
+    assert u + v == (3, 0, 2, 1, 1, 0) and type(u + v) is tuple
+    assert len(u * 2) == 2 * len(u)
+
+
+def test_ideal_and_witness_forms_unchanged():
+    ideal = MonomialIdeal(3, [(1, 1, 0), (0, 0, 2), (2, 0, 1)])
+    assert repr(ideal) == (
+        "MonomialIdeal(3, [Monomial(exponents=(1, 1, 0)), Monomial(exponents=(0, 0, 2)), "
+        "Monomial(exponents=(2, 0, 1))])"
+    )
+    assert str(ideal) == "x1*x2, x3^2, x1^2*x3"
+    witness = is_stable(ideal).witness
+    assert repr(witness) == (
+        "StabilityWitness(generator=Monomial(exponents=(0, 0, 2)), shift_index=1, "
+        "shifted=Monomial(exponents=(1, 0, 1)))"
+    )
+    assert witness.render() == "witness: u=x3^2 j=1 shifted=x1*x3 (not in ideal)"
 
 
 def test_compositions_count_and_order():
