@@ -1,7 +1,7 @@
 """Monomial ideals of nested hypergraphs: Alexander duality, stability
 of truncations, and exact multigraded Betti numbers at desk scale."""
 
-from .betti import BettiTable, betti_table, euler_consistency_check, lcm_lattice, regularity
+from .betti import BettiTable, betti_table, euler_consistency_check, regularity
 from .checks import CheckReport, ClaimResult, run_hypergraph_checks, run_ideal_checks
 from .homology import GuardError
 from .hypergraphs import (
@@ -48,7 +48,6 @@ __all__ = [
     "irredundant_filter",
     "is_stable",
     "is_stable_exhaustive",
-    "lcm_lattice",
     "pure_power_truncation_stable",
     "q_bound",
     "random_instance",

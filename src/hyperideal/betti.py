@@ -35,7 +35,7 @@ cone test, so the guards answer as they would at every point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import combinations, compress, repeat
 from operator import getitem, gt, itemgetter, lt, ne
@@ -98,9 +98,8 @@ def koszul_complex(ideal: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComple
     """K^b for the exponent tuple b: the complex on the support of b of the
     sets F with x^(b - F) in the ideal, that is F inside S_g = {w : g_w < b_w}
     for a generator g dividing x^b.  It is kept as the maximal S_g and lists
-    no face until asked; void when no generator divides x^b."""
-    if len(b) != ideal.n:
-        raise ValueError(f"ambient dimension mismatch: {len(b)} vs {ideal.n}")
+    no face until asked; void when no generator divides x^b.  b is trusted
+    to have the ideal's length: ``betti_table`` passes its lattice points."""
     labels = range(1, len(b) + 1)
     # divides_any inline: one call per generator and point costs 3-6% end to end.
     facets = _maximal(
@@ -114,7 +113,7 @@ class BettiTable:
     """Sparse table of nonzero multigraded Betti numbers of an ideal."""
 
     char: int
-    entries: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
+    entries: dict[tuple[int, tuple[int, ...]], int]
 
     def totals(self) -> tuple[int, ...]:
         if not self.entries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .betti import betti_table, euler_consistency_check
-from .homology import GuardError
+from .homology import GuardError, validate_characteristic
 from .hypergraphs import IncreasingHypergraph, special_dual
 from .ideals import MonomialIdeal, alexander_dual, component_str, irredundant_filter
 from .monomials import Monomial, divides_any
@@ -162,8 +162,9 @@ def run_hypergraph_checks(
     that depend on the variable order (stability, q, the regularity
     oracle's input) are computed on its ``dual_r``; the claims on the
     inclusion ideal and the components, and the display values, keep the
-    input labeling.
+    input labeling.  A bad ``char`` is refused before any of it.
     """
+    validate_characteristic(char)
     sd = special_dual(h)
     a, ideal, dual_r = sd.a, sd.ideal, sd.dual_r
 
@@ -311,7 +312,9 @@ def run_ideal_checks(
     source: str = "<memory>",
 ) -> CheckReport:
     """Ideal-level subset of the suite for inputs with no hypergraph
-    structure.  Hypergraph-only claims are reported as not applicable."""
+    structure.  Hypergraph-only claims are reported as not applicable.
+    A bad ``char`` is refused before any work."""
+    validate_characteristic(char)
     cap = tuple(map(max, zip(*ideal._exps)))
     dual = alexander_dual(ideal, cap)
     stability = is_stable(ideal)

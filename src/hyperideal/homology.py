@@ -19,7 +19,6 @@ answer for each set of stars and rank each distinct nerve once.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -37,9 +36,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_CHARACTERISTIC = 3317044064679887385961981
 
 
-# Cached: every rank call re-validates its characteristic, and one run
-# uses one or two characteristics.
-@lru_cache(maxsize=8)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, exact for 2 <= p < MAX_CHARACTERISTIC."""
     for a in _MR_BASES:
@@ -74,22 +70,23 @@ def validate_characteristic(char: int) -> None:
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
-def _rank(rows: Iterable[Mapping[int, int]], p: int) -> int:
-    """Rank over GF(p), or over Q when p is 0, by sparse row reduction.
+def matrix_rank(rows: Iterable[Mapping[int, int]], char: int = 0) -> int:
+    """Rank over GF(char), or over Q when char is 0, of an integer matrix
+    given as rows of ``{column: value}``, by sparse row reduction.  The
+    characteristic is trusted: ``betti_table`` checks it.
 
-    Each row, a ``{column: value}`` mapping, is copied without its zero
-    entries and reduced against the pivot rows kept so far, one per
-    leading column, by r <- a*r - b*top with a the pivot's leading entry;
-    the step is invertible because a != 0.  Over GF(p) entries are reduced
-    mod p; over Q each row is divided by the gcd of its entries, so rows
-    stay integral and small.
+    Each row is copied without its zero entries and reduced against the
+    pivot rows kept so far, one per leading column, by r <- a*r - b*top
+    with a the pivot's leading entry; the step is invertible because
+    a != 0.  Over GF(char) entries are reduced mod char; over Q each row
+    is divided by the gcd of its entries, so rows stay integral and small.
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for entries in rows:
         row = {c: v for c, v in entries.items() if v}
         while row:
-            if p:
-                row = {c: r for c, v in row.items() if (r := v % p)}
+            if char:
+                row = {c: r for c, v in row.items() if (r := v % char)}
                 if not row:
                     break
             else:
@@ -113,13 +110,6 @@ def _rank(rows: Iterable[Mapping[int, int]], p: int) -> int:
                 else:
                     del row[c]
     return len(pivots)
-
-
-def matrix_rank(rows: Iterable[Mapping[int, int]], char: int = 0) -> int:
-    """Exact rank over Q (char 0) or GF(char) of an integer matrix given
-    as rows of ``{column: value}``; a zero entry is allowed and dropped."""
-    validate_characteristic(char)
-    return _rank(rows, char)
 
 
 class SimplicialComplex:
@@ -189,13 +179,12 @@ class SimplicialComplex:
         {j : v in F_j}) when the distinct stars bound fewer faces than the
         facets do: the sum of 2^|star| against the sum of 2^|facet|.  By
         Dowker's theorem both have the same reduced homology over every
-        field.
+        field.  The characteristic is trusted, as in :func:`matrix_rank`.
 
         ``memo``, when given, maps (top facet size + 1, distinct stars) to
         the answer and is read and filled after the guard; it serves one
         characteristic only.
         """
-        validate_characteristic(char)
         facets = self.facets
         if not facets:
             return ()

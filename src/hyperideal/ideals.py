@@ -203,16 +203,10 @@ class MonomialIdeal:
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 
-    # Always false since the constructor refuses both cases; kept only
-    # because perfbench's trace hook for stability shift tests reads them,
-    # and removed with the next benchmark change (ROADMAP item 2 step B).
-    @property
-    def is_zero(self) -> bool:
-        return not self._exps
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self._exps) == 1 and not any(self._exps[0])
+    # False since the constructor refuses both cases; kept only because
+    # perfbench's trace hook for stability shift tests reads them, and
+    # removed with the next benchmark change (ROADMAP item 2 step B).
+    is_zero = is_unit = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):

@@ -6,11 +6,11 @@ combinatorial integer.
 
 Kernel contract: an ideal is built from exponent vectors, and
 :func:`exponent_vector` is the one check of a vector from outside.  Inside,
-exponent tuples move unchecked but for the length checks of
-``MonomialIdeal.contains`` and ``koszul_complex``; ``lcm_lattice`` returns
-tuples and :func:`divides_any` decides membership.  A :class:`Monomial`,
-an exponent tuple that prints as a monomial, is only what the package
-shows: ``MonomialIdeal.gens``, a stability witness, ``str``.
+exponent tuples move unchecked but for the length check of
+``MonomialIdeal.contains``; ``lcm_lattice`` returns tuples and
+:func:`divides_any` decides membership.  A :class:`Monomial`, an exponent
+tuple that prints as a monomial, is only what the package shows:
+``MonomialIdeal.gens``, a stability witness, ``str``.
 """
 
 from __future__ import annotations

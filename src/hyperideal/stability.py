@@ -39,12 +39,6 @@ class StabilityReport:
     def is_stable(self) -> bool:
         return self.witness is None
 
-    def render(self) -> str:
-        lines = [f"stable: {'yes' if self.is_stable else 'no'}"]
-        if self.witness is not None:
-            lines.append(self.witness.render())
-        return "\n".join(lines)
-
 
 def _witness(
     candidates: MonomialIdeal, members: MonomialIdeal

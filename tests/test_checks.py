@@ -65,6 +65,26 @@ def test_skip_reg_reports_skipped_claims():
     assert report.values["reg"] is None
 
 
+@pytest.mark.parametrize("skip_reg", [False, True])
+@pytest.mark.parametrize(
+    "run, subject, char",
+    [
+        (run_hypergraph_checks, chain3, -7),
+        (run_ideal_checks, lambda: MonomialIdeal(2, [(1, 1), (2, 0)]), 4),
+    ],
+)
+def test_runners_refuse_a_bad_char_before_any_work(monkeypatch, run, subject, char, skip_reg):
+    # The runner checks char where it enters, so no report prints a bad
+    # char and no dual is folded, with or without the regularity oracle.
+    def refuse(*args):
+        raise AssertionError("work began before the characteristic was checked")
+
+    for name in ("special_dual", "alexander_dual"):
+        monkeypatch.setattr(checks, name, refuse)
+    with pytest.raises(ValueError, match=f"^characteristic must be 0 or a prime, got {char}$"):
+        run(subject(), char=char, skip_reg=skip_reg)
+
+
 def test_single_edge_degenerate_bound():
     h = build_hypergraph(2, 1, [frozenset({1, 2})])
     report = run_hypergraph_checks(h, source="edge")

@@ -280,14 +280,17 @@ def test_bench_golden_and_determinism(in_repo_root, capsys):
     assert out1 == golden
 
 
+def wrong_double_dual(monkeypatch):
+    # The double dual comes back as the principal ideal of the cap.
+    monkeypatch.setattr(checks, "alexander_dual", lambda ideal, c: MonomialIdeal(len(c), [c]))
+
+
 def test_bench_counts_every_failed_claim(in_repo_root, capsys, monkeypatch):
     # A wrong double dual fails dual_involution, which no CSV column shows.
     argv = ["bench", "--count", "3", "--seed", "7"]
     code, expected_csv, err = run(capsys, argv)
     assert (code, err) == (0, "")
-    monkeypatch.setattr(
-        checks, "alexander_dual", lambda ideal, c: MonomialIdeal(len(c), [c])
-    )
+    wrong_double_dual(monkeypatch)
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == expected_csv
@@ -296,6 +299,44 @@ def test_bench_counts_every_failed_claim(in_repo_root, capsys, monkeypatch):
     for failure in failures:
         assert list(failure) == ["instance_id", "n", "s", "d", "seed", "failed"]
         assert failure["failed"] == ["dual_involution"]
+
+
+def test_check_exits_one_on_a_failed_claim(in_repo_root, capsys, monkeypatch):
+    golden = (in_repo_root / "fixtures/golden/check_chain_n3_s2.txt").read_text()
+    wrong_double_dual(monkeypatch)
+    code, out, err = run(capsys, ["check", H1])
+    assert (code, err) == (1, "")
+    assert out == golden.replace(
+        "dual_involution: pass (double dual returns the inclusion ideal)",
+        "dual_involution: fail (double dual differs from the inclusion ideal)",
+    ).replace("result: 11 pass, 0 fail,", "result: 10 pass, 1 fail,")
+
+
+def test_check_json_exits_one_on_a_failed_claim(in_repo_root, capsys, monkeypatch):
+    expected = json.loads((in_repo_root / "fixtures/golden/check_chain_n3_s2.json").read_text())
+    (claim,) = [c for c in expected["claims"] if c["name"] == "dual_involution"]
+    claim.update(status="fail", detail="double dual differs from the inclusion ideal")
+    expected["exit"] = 1
+    wrong_double_dual(monkeypatch)
+    code, out, err = run(capsys, ["check", H1, "--format", "json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == expected
+    assert '\n  "exit": 1\n' in out
+
+
+def test_bench_writes_false_for_a_failed_column_claim(in_repo_root, capsys, monkeypatch):
+    # No associated prime survives the filter, so associated_primes_chain
+    # fails and its ass_chain cell reads false.
+    argv = ["bench", "--count", "3", "--seed", "7"]
+    _, expected_csv, _ = run(capsys, argv)
+    monkeypatch.setattr(checks, "irredundant_filter", lambda comps: [])
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    lines = expected_csv.splitlines()
+    assert len(lines) == 5 and all(row.endswith(",true") for row in lines[2:])
+    assert out.splitlines() == lines[:2] + [row[: -len("true")] + "false" for row in lines[2:]]
+    failures = [json.loads(line) for line in err.splitlines()]
+    assert [f["failed"] for f in failures] == [["associated_primes_chain"]] * 3
 
 
 def test_bench_writes_a_blank_row_for_a_guarded_instance(in_repo_root, capsys, monkeypatch):
@@ -316,9 +357,7 @@ def test_bench_writes_a_blank_row_for_a_guarded_instance(in_repo_root, capsys, m
         assert list(record) == ["instance_id", "n", "s", "d", "seed", "guard"]
         assert record["guard"].startswith("truncation at t=36 in n=12 variables:")
     # A claim failure outranks a guard.
-    monkeypatch.setattr(
-        checks, "alexander_dual", lambda ideal, c: MonomialIdeal(len(c), [c])
-    )
+    wrong_double_dual(monkeypatch)
     code, failing_out, err = run(capsys, [*argv, "--count", "3", "--seed", "3"])
     assert code == 1
     assert failing_out == out
@@ -348,9 +387,27 @@ def test_bench_infeasible_ranges(in_repo_root, capsys):
 
 
 def test_bench_bad_range_spec(in_repo_root, capsys):
-    code, _, err = run(capsys, ["bench", "--n-range", "7:4"])
-    assert code == 2
-    assert "empty" in err
+    assert run(capsys, ["bench", "--n-range", "7:4"]) == (2, "", "error: --n-range is empty: 7:4\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-range", "a:b"], "--n-range must look like A:B or a single integer, got 'a:b'"),
+        (["--d-set", "x"], "--d-set must be comma-separated integers, got 'x'"),
+        (["--d-set", ","], "--d-set is empty"),
+        (["--count", "-1"], "--count must be nonnegative"),
+    ],
+)
+def test_bench_argument_errors(in_repo_root, capsys, flags, message):
+    assert run(capsys, ["bench", *flags]) == (2, "", f"error: {message}\n")
+
+
+def test_bench_single_integer_ranges(in_repo_root, capsys):
+    argv = ["bench", "--n-range", "5", "--s-range", "2", "--d-set", "1", "--count", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["0,5,2,1,3,4,2,3,3,true,true,true,true"]
 
 
 def test_gen_deterministic_and_loadable(in_repo_root, tmp_path, capsys):

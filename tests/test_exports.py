@@ -1,7 +1,7 @@
 import pytest
 
 import hyperideal
-from hyperideal import BettiTable, Monomial, MonomialIdeal, formats, hypergraphs
+from hyperideal import BettiTable, Monomial, MonomialIdeal, StabilityReport, formats, hypergraphs
 
 
 def test_every_exported_name_resolves():
@@ -46,6 +46,9 @@ def test_every_exported_name_resolves():
         (hyperideal, "SimplicialComplex"),
         (hyperideal.homology, "_boundary_matrix"),
         (hyperideal.betti, "_representative"),
+        (StabilityReport, "render"),
+        (hyperideal, "lcm_lattice"),
+        (hyperideal.homology, "_rank"),
     ],
 )
 def test_removed_names_stay_gone(owner, name):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperideal import homology
+from hyperideal.betti import betti_table
 from hyperideal.homology import (
     MAX_CHARACTERISTIC,
     GuardError,
@@ -13,11 +14,11 @@ from hyperideal.homology import (
     _boundary_rows,
     _by_dim,
     _closure,
-    _is_prime,
     matrix_rank,
     simplex_faces,
     validate_characteristic,
 )
+from hyperideal.ideals import MonomialIdeal
 
 
 def boundary_rows(complex_, k):
@@ -199,23 +200,27 @@ def test_characteristic_validation_matches_sieve():
         assert accepted == (not composite[k]), k
 
 
-def test_characteristic_checked_once_per_homology_call(monkeypatch):
-    # reduced_homology_dims and each of its rank calls validate the
-    # characteristic; Miller-Rabin runs once.
+def test_characteristic_checked_once_per_betti_table(monkeypatch):
+    # betti_table checks the characteristic; the Koszul complexes and rank
+    # calls below it trust it, so Miller-Rabin runs once per table.
     p = 1000000000000000003
-    complex_ = complex_of(range(1, 5), [(1, 2, 3), (3, 4), (2, 4)])
-    chars = []
-    original = homology.matrix_rank
+    cycle = MonomialIdeal(7, [[int(v in (i, (i + 1) % 7)) for v in range(7)] for i in range(7)])
+    primes, ranks = [], []
+    is_prime, rank = homology._is_prime, homology.matrix_rank
+
+    def counting_prime(q):
+        primes.append(q)
+        return is_prime(q)
 
     def counting_rank(rows, char=0):
-        chars.append(char)
-        return original(rows, char)
+        ranks.append(char)
+        return rank(rows, char)
 
+    monkeypatch.setattr(homology, "_is_prime", counting_prime)
     monkeypatch.setattr(homology, "matrix_rank", counting_rank)
-    _is_prime.cache_clear()
-    assert complex_.reduced_homology_dims(p) == complex_.reduced_homology_dims(0)
-    info = _is_prime.cache_info()
-    assert info.misses <= 1 and info.hits == chars.count(p)
+    assert betti_table(cycle, p).entries == betti_table(cycle, 0).entries
+    assert primes == [p]
+    assert ranks.count(p) > 1
 
 
 def own_side(complex_):

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperideal import ideals
+from hyperideal.formats import parse_input
 from hyperideal.homology import GuardError
+from hyperideal.hypergraphs import build_hypergraph, special_dual
 from hyperideal.ideals import (
     MAX_TRUNCATION,
     MonomialIdeal,
@@ -718,3 +720,20 @@ def test_trusted_ideal_equals_validated(ideal):
     assert trusted == validated == ideal
     assert hash(trusted) == hash(validated)
     assert trusted.gens == validated.gens
+
+
+def test_every_derived_ideal_is_proper_and_nonzero():
+    # The constructor refuses the zero and unit ideals, so the two flags
+    # are constants; perfbench's trace hook still reads them.
+    parsed = parse_input('{"n": 3, "gens": [[2, 0, 0], [0, 1, 1]]}')
+    sd = special_dual(build_hypergraph(4, 1, [[1, 2], [1, 2, 3], [1, 2, 3, 4]]))
+    derived = [
+        parsed,
+        parsed.truncate(3),
+        alexander_dual(parsed, (2, 1, 1)),
+        sd.ideal,
+        sd.dual,
+        sd.dual_r,
+    ]
+    for ideal in derived:
+        assert ideal.is_zero is False and ideal.is_unit is False

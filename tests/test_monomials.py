@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperideal.betti import koszul_complex
 from hyperideal.ideals import MonomialIdeal
 from hyperideal.stability import is_stable
 from hyperideal.monomials import (
@@ -102,13 +101,12 @@ def test_degree_max_index():
 
 
 def test_ambient_mismatch():
-    # The public entries that take a raw exponent tuple check its length.
+    # Membership, the one public entry that takes a raw exponent tuple,
+    # checks its length.
     ideal = MonomialIdeal(3, [(1, 1, 0), (0, 0, 2)])
     for u in [(1, 1), (1, 1, 0, 0)]:
         with pytest.raises(ValueError, match="ambient dimension mismatch"):
             ideal.contains(u)
-        with pytest.raises(ValueError, match="ambient dimension mismatch"):
-            koszul_complex(ideal, u)
 
 
 @given(pairs_same_ambient())

@@ -93,7 +93,6 @@ def test_report_verdict_is_the_missing_witness():
     assert report == StabilityReport(ideal, report.witness)
     assert not report.is_stable
     assert StabilityReport(ideal, None).is_stable
-    assert StabilityReport(ideal, None).render() == "stable: yes"
 
 
 def test_stability_rejects_degenerate_ideals():
@@ -112,7 +111,7 @@ def test_unstable_with_witness():
     assert w.generator == Monomial((0, 1))
     assert w.shift_index == 1
     assert w.shifted == Monomial((1, 0))
-    assert "x2" in report.render()
+    assert w.render() == "witness: u=x2 j=1 shifted=x1 (not in ideal)"
 
 
 def test_truncation_counterexample_witness():
